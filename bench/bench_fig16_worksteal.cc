@@ -22,13 +22,8 @@ namespace {
 /// imbalance of deep enumeration shows.
 Fractoid FsmShapedPipeline(const FractalGraph& graph) {
   auto count_patterns = [](const Fractoid& fractoid, const char* name) {
-    return fractoid.Aggregate<Pattern, uint64_t, PatternHash>(
-        name,
-        [](const Subgraph& s, Computation& c) {
-          return c.CanonicalPattern(s).pattern;
-        },
-        [](const Subgraph&, Computation&) -> uint64_t { return 1; },
-        [](uint64_t& a, uint64_t&& b) { a += b; });
+    return fractoid.AggregatePatterns<uint64_t>(
+        name, /*initial=*/0, [](uint64_t& a, uint64_t&& b) { a += b; });
   };
   auto pass_all = [](const Fractoid& fractoid, const char* name) {
     return fractoid.FilterByAggregation<Pattern, uint64_t, PatternHash>(

@@ -16,7 +16,9 @@
 #   2. Chaos sweep: resilience_test's ChaosTest replays CHAOS_SEEDS seeded
 #      random fault plans (worker crashes, dead steal services, dropped and
 #      delayed requests, stragglers) and fails on any result divergence
-#      from the fault-free baseline.
+#      from the fault-free baseline; property_test's AggregationChaosTest
+#      checks motif counts and FSM supports against the brute-force
+#      oracles under the same plans, from-scratch and salvage.
 #   3. Scheduler gate (DESIGN.md §12): the multi-tenant chaos filter
 #      (SchedulerChaosTest — a crashing tenant sharing the cluster with
 #      clean ones stays bit-exact) plus a CLI end-to-end of
@@ -41,24 +43,29 @@
 #      textual engine otherwise.
 #   6. Alloc-guard gate: hot_path_test re-run with FRACTAL_ALLOC_GUARD=abort
 #      — full-cluster runs of the vertex-induced, edge-induced, and KClist
-#      strategies abort the process on any steady-state heap allocation.
-#   7. Static analysis: a clang build with -Wthread-safety promoted to an
+#      strategies abort the process on any steady-state heap allocation —
+#      and alloc_guard_test likewise, whose warm CountMotifs/RunFsm steps
+#      hold the pattern-aggregation path (DESIGN.md §13) to the same rule.
+#   7. Perfbench: the benchmark's self-tests plus a short oracle-checked
+#      run of each kernel workload (motifs4, fsm3); every result must match
+#      the single-threaded oracle ("correct": true).
+#   8. Static analysis: a clang build with -Wthread-safety promoted to an
 #      error (checking the GUARDED_BY/REQUIRES contracts of util/mutex.h),
 #      then clang-tidy with the curated .clang-tidy profile over src/,
 #      bench/, and tools/ sources. Each tool is used when installed and the
 #      stage fails on any diagnostic; on containers without clang the stage
 #      degrades to the GCC -Werror build of stage 1 plus the runtime
 #      lockdep checking of the sanitizer stages.
-#   8. ASan/UBSan build running every thread-spawning suite (including a
+#   9. ASan/UBSan build running every thread-spawning suite (including a
 #      reduced-seed chaos sweep, the scheduler suite and the alloc-guard
 #      suites), plus a full CHAOS_SEEDS-wide SalvageChaosTest sweep so
 #      salvage passes are memory-checked at chaos scale.
-#   9. TSan build running the same suites (and the same wide salvage
+#  10. TSan build running the same suites (and the same wide salvage
 #      sweep), so the persistent-thread Cluster/Worker runtime (parked
 #      execution threads, steal-service threads, enumerator cursors, the
 #      claim-stamping lineage ledger) is race-checked on every PR.
 #
-# Stages 8-9 keep FRACTAL_ENABLE_LOCKDEP=ON (the default), so every
+# Stages 9-10 keep FRACTAL_ENABLE_LOCKDEP=ON (the default), so every
 # sanitized test run also checks the lock-order graph deterministically.
 #
 # Usage: ./ci.sh            (JOBS=<n> to override parallelism)
@@ -134,6 +141,8 @@ echo "=== chaos: ${CHAOS_SEEDS}-seed random fault plans stay bit-exact ==="
 # stragglers) against the fault-free baseline; any divergence fails CI.
 FRACTAL_CHAOS_SEEDS="$CHAOS_SEEDS" ./build-ci/tests/resilience_test \
   --gtest_filter='ChaosTest.*'
+FRACTAL_CHAOS_SEEDS="$CHAOS_SEEDS" ./build-ci/tests/property_test \
+  --gtest_filter='AggregationChaosTest.*'
 
 echo "=== scheduler: concurrent queries share one cluster, stay bit-exact ==="
 # Multi-tenant chaos cross-product (DESIGN.md §12): a fault-injected tenant
@@ -209,6 +218,24 @@ echo "=== alloc-guard: zero steady-state allocations, abort on regression ==="
 # kills the test.
 FRACTAL_ALLOC_GUARD=abort ./build-ci/tests/hot_path_test
 FRACTAL_ALLOC_GUARD=abort ./build-ci/tests/alloc_guard_test
+
+echo "=== perfbench: benchmark self-tests + oracle-checked kernel runs ==="
+# The benchmark's own tests, then a short run of each kernel workload. Every
+# request of a run is checked against the independent single-threaded
+# oracle (baselines::Tuned*, perfbench/README.md), so this puts those
+# oracles in CI; the stage fails unless the result line reads
+# "correct": true. Builds into .bench_build/ on first use.
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/test_perfbench.py
+  for workload in motifs4 fsm3; do
+    RESULT_LINE="$(python3 perfbench/run.py --workload "$workload" \
+      --seconds 2 | tail -n 1)"
+    echo "$workload: $RESULT_LINE"
+    grep -q '"correct": true' <<<"$RESULT_LINE"
+  done
+else
+  echo "python3 not installed; perfbench stage skipped"
+fi
 
 echo "=== static analysis: -Wthread-safety + clang-tidy ==="
 if command -v clang++ >/dev/null 2>&1; then

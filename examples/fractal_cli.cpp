@@ -364,6 +364,10 @@ int main(int argc, char** argv) {
     }
   } else if (kernel == "fsm") {
     const FsmResult result = RunFsm(graph, support, max_edges, config);
+    if (!result.status.ok()) {
+      std::fprintf(stderr, "fsm stopped early: %s\n",
+                   result.status.ToString().c_str());
+    }
     std::printf("%zu frequent patterns (support >= %u):\n",
                 result.frequent.size(), support);
     for (const auto& [pattern, mni] : result.frequent) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/computation.h"
 #include "enumerate/sampling.h"
 
 namespace fractal {
@@ -24,12 +23,8 @@ EstimationResult EstimateMotifCounts(const FractalGraph& graph, uint32_t k,
   result.keep_probability = keep_probability;
   auto execution =
       SampledVertexFractoid(graph, k, keep_probability, seed)
-          .Aggregate<Pattern, uint64_t, PatternHash>(
-              "motifs",
-              [](const Subgraph& s, Computation& comp) {
-                return comp.CanonicalPattern(s).pattern;
-              },
-              [](const Subgraph&, Computation&) -> uint64_t { return 1; },
+          .AggregatePatterns<uint64_t>(
+              "motifs", /*initial=*/0,
               [](uint64_t& a, uint64_t&& b) { a += b; })
           .Execute(config);
   FRACTAL_CHECK(execution.status.ok()) << execution.status;

@@ -1,21 +1,76 @@
 #include "apps/fsm.h"
 
+#include <algorithm>
+
 #include "core/computation.h"
+#include "util/alloc_guard.h"
 #include "util/timer.h"
 
 namespace fractal {
 
 void DomainSupport::AddEmbedding(const Subgraph& subgraph,
                                  const CanonicalResult& canonical) {
+  FRACTAL_CHECK(subgraph.NumVertices() <= QuickPatternKey::kMaxVertices);
+  uint8_t canonical_position[QuickPatternKey::kMaxVertices];
+  for (uint32_t i = 0; i < subgraph.NumVertices(); ++i) {
+    canonical_position[i] = static_cast<uint8_t>(canonical.permutation[i]);
+  }
+  AddEmbedding(subgraph, canonical_position, canonical.orbit);
+}
+
+FRACTAL_HOT void DomainSupport::AddEmbedding(
+    const Subgraph& subgraph, const uint8_t* canonical_position,
+    const std::vector<uint32_t>& orbit) {
   const uint32_t k = subgraph.NumVertices();
-  if (domains_.size() < k) domains_.resize(k);
+  if (domains_.size() < k) {
+    FRACTAL_HOT_ESCAPE("first embedding of a class: once per accumulator");
+    AllocGuard::Allow allow("FSM domain slots");
+    domains_.resize(k);
+  }
   // Orbit closure: automorphic positions have identical domains, so each
   // vertex is recorded once under its orbit representative (the MNI support
   // is then the min over representatives).
   for (uint32_t position = 0; position < k; ++position) {
-    domains_[canonical.orbit[canonical.permutation[position]]].insert(
-        subgraph.VertexAt(position));
+    Record(domains_[orbit[canonical_position[position]]],
+           subgraph.VertexAt(position));
   }
+}
+
+FRACTAL_HOT void DomainSupport::Record(Domain& domain, VertexId vertex) {
+  // Consecutive embeddings of one DFS subtree share their prefix vertices.
+  if (!domain.domain_vertices.empty() &&
+      domain.domain_vertices.back() == vertex) {
+    return;
+  }
+  if (domain.domain_vertices.size() == domain.domain_vertices.capacity()) {
+    Compact(domain);
+    if (2 * domain.domain_vertices.size() >=
+        domain.domain_vertices.capacity()) {
+      FRACTAL_HOT_ESCAPE("domain growth: geometric, at most 2x distinct");
+      AllocGuard::Allow allow("FSM domain growth");
+      domain.domain_vertices.reserve(
+          std::max<size_t>(16, 2 * domain.domain_vertices.capacity()));
+    }
+  }
+  domain.domain_vertices.push_back(vertex);
+}
+
+void DomainSupport::Compact(Domain& domain) {
+  std::vector<VertexId>& vertices = domain.domain_vertices;
+  if (domain.compacted == vertices.size()) return;
+  std::sort(vertices.begin(), vertices.end());
+  vertices.erase(std::unique(vertices.begin(), vertices.end()),
+                 vertices.end());
+  domain.compacted = static_cast<uint32_t>(vertices.size());
+}
+
+uint64_t DomainSupport::DistinctCount(const Domain& domain) {
+  if (domain.compacted == domain.domain_vertices.size()) {
+    return domain.compacted;
+  }
+  Domain copy = domain;
+  Compact(copy);
+  return copy.compacted;
 }
 
 void DomainSupport::Merge(DomainSupport&& other) {
@@ -23,11 +78,16 @@ void DomainSupport::Merge(DomainSupport&& other) {
     domains_.resize(other.domains_.size());
   }
   for (size_t i = 0; i < other.domains_.size(); ++i) {
-    if (domains_[i].empty()) {
-      domains_[i] = std::move(other.domains_[i]);
+    Domain& into = domains_[i];
+    Domain& from = other.domains_[i];
+    if (into.domain_vertices.empty()) {
+      std::swap(into, from);
     } else {
-      domains_[i].insert(other.domains_[i].begin(), other.domains_[i].end());
+      into.domain_vertices.insert(into.domain_vertices.end(),
+                                  from.domain_vertices.begin(),
+                                  from.domain_vertices.end());
     }
+    Compact(into);
   }
   threshold_ = std::max(threshold_, other.threshold_);
 }
@@ -39,18 +99,18 @@ uint64_t DomainSupport::Support() const {
   // slots.
   uint64_t support = UINT64_MAX;
   bool any = false;
-  for (const auto& domain : domains_) {
-    if (domain.empty()) continue;
-    support = std::min<uint64_t>(support, domain.size());
+  for (const Domain& domain : domains_) {
+    if (domain.domain_vertices.empty()) continue;
+    support = std::min(support, DistinctCount(domain));
     any = true;
   }
   return any ? support : 0;
 }
 
 uint64_t DomainSupport::ApproxBytes() const {
-  uint64_t bytes = sizeof(DomainSupport);
-  for (const auto& domain : domains_) {
-    bytes += domain.size() * (sizeof(VertexId) + sizeof(void*));
+  uint64_t bytes = sizeof(DomainSupport) + domains_.capacity() * sizeof(Domain);
+  for (const Domain& domain : domains_) {
+    bytes += domain.domain_vertices.capacity() * sizeof(VertexId);
   }
   return bytes;
 }
@@ -61,18 +121,8 @@ namespace {
 /// has-enough-support post-filter) to a fractoid.
 Fractoid WithSupportAggregation(const Fractoid& fractoid,
                                 uint32_t min_support) {
-  return fractoid.Aggregate<Pattern, DomainSupport, PatternHash>(
-      "support",
-      /*key_fn=*/
-      [](const Subgraph& subgraph, Computation& comp) {
-        return comp.CanonicalPattern(subgraph).pattern;
-      },
-      /*value_fn=*/
-      [min_support](const Subgraph& subgraph, Computation& comp) {
-        DomainSupport support(min_support);
-        support.AddEmbedding(subgraph, comp.CanonicalPattern(subgraph));
-        return support;
-      },
+  return fractoid.AggregatePatterns<DomainSupport>(
+      "support", DomainSupport(min_support),
       /*reduce_fn=*/
       [](DomainSupport& into, DomainSupport&& from) {
         into.Merge(std::move(from));
@@ -155,15 +205,23 @@ FsmResult RunFsmWithOptions(const FractalGraph& graph,
   // grow by one edge, re-aggregate.
   while (new_frequent > 0 &&
          (max_edges == 0 || result.iterations < max_edges)) {
-    fsm = fsm.FilterByAggregation<Pattern, DomainSupport, PatternHash>(
+    Fractoid next = fsm.FilterByAggregation<Pattern, DomainSupport,
+                                            PatternHash>(
         "support",
         [](const Subgraph& subgraph, Computation& comp,
            const AggregationStorage<Pattern, DomainSupport, PatternHash>&
                frequent_patterns) {
-          return frequent_patterns.Contains(
-              comp.CanonicalPattern(subgraph).pattern);
+          // One verdict per canonical class and thread, not per subgraph.
+          return comp.ClassVerdict(
+              subgraph, &frequent_patterns,
+              [&frequent_patterns](const Pattern& pattern) {
+                return frequent_patterns.Contains(pattern);
+              });
         });
-    fsm = WithSupportAggregation(fsm.Expand(1), min_support);
+    next = WithSupportAggregation(next.Expand(1), min_support);
+    result.status = CheckAggregationCapacity(next);
+    if (!result.status.ok()) break;
+    fsm = std::move(next);
     execution = fsm.Execute(config);
     FRACTAL_CHECK(execution.status.ok()) << execution.status;
     new_frequent = harvest();

@@ -14,18 +14,23 @@
 #define FRACTAL_APPS_FSM_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/context.h"
+#include "core/pattern_aggregation.h"
 #include "runtime/telemetry.h"
 #include "pattern/canonical.h"
 #include "pattern/pattern.h"
+#include "util/hot_annotations.h"
+#include "util/status.h"
 
 namespace fractal {
 
 /// MNI support accumulator (the paper's DomainSupport): one vertex-id domain
-/// per canonical pattern position.
+/// per canonical pattern orbit. Domains are append-only vectors compacted
+/// (sorted, deduplicated) whenever they fill, so a domain holds at most
+/// about twice its distinct vertices and recording an embedding allocates
+/// only on amortized growth (the SNIPPETS.md embedding-list domains).
 class DomainSupport {
  public:
   DomainSupport() = default;
@@ -35,7 +40,14 @@ class DomainSupport {
   /// domain of canonical position `canonical.permutation[i]`.
   void AddEmbedding(const Subgraph& subgraph, const CanonicalResult& canonical);
 
-  /// Folds `other` into this (the aggregation's reduce function).
+  /// Hot-path form: `canonical_position[i]` is the canonical position of
+  /// subgraph position i, `orbit` the class's orbit representatives.
+  FRACTAL_HOT void AddEmbedding(const Subgraph& subgraph,
+                                const uint8_t* canonical_position,
+                                const std::vector<uint32_t>& orbit);
+
+  /// Folds `other` into this (the aggregation's reduce function); leaves
+  /// every domain compacted.
   void Merge(DomainSupport&& other);
 
   /// min over positions of |domain| — the MNI support.
@@ -55,11 +67,32 @@ class DomainSupport {
   }
 
  private:
+  struct Domain {
+    // Recycled: grows geometrically in Record, compacted in place.
+    FRACTAL_ARENA_OUT std::vector<VertexId> domain_vertices;
+    uint32_t compacted = 0;  // domain_vertices[0, compacted) sorted, unique
+  };
+
+  FRACTAL_HOT static void Record(Domain& domain, VertexId vertex);
+  static void Compact(Domain& domain);
+  static uint64_t DistinctCount(const Domain& domain);
+
   uint32_t threshold_ = 0;
-  std::vector<std::unordered_set<VertexId>> domains_;
+  std::vector<Domain> domains_;
 };
 
+/// In-place pattern fold of FSM (core/pattern_aggregation.h).
+FRACTAL_HOT inline void FoldPatternMatch(DomainSupport& support,
+                                         const PatternMatch& match) {
+  support.AddEmbedding(match.subgraph, match.mapping.position,
+                       match.canonical.orbit);
+}
+
 struct FsmResult {
+  /// OK, or why mining stopped before running out of frequent patterns:
+  /// the next level's patterns would exceed the quick-pattern key
+  /// (CheckAggregationCapacity). `frequent` then holds every level mined.
+  Status status;
   /// All frequent patterns with their exact MNI supports, in discovery
   /// order (by number of edges, then unspecified within a level).
   std::vector<std::pair<Pattern, uint64_t>> frequent;
@@ -88,7 +121,8 @@ struct FsmOptions {
 };
 
 /// Runs FSM with MNI support >= `min_support`, mining patterns with at most
-/// `max_edges` edges (0 = unbounded, runs until no pattern is frequent).
+/// `max_edges` edges (0 = unbounded: runs until no pattern is frequent or
+/// the patterns outgrow the quick-pattern key, see FsmResult::status).
 FsmResult RunFsm(const FractalGraph& graph, uint32_t min_support,
                  uint32_t max_edges, const ExecutionConfig& config = {});
 

@@ -1,21 +1,13 @@
 #include "apps/motifs.h"
 
-#include "core/computation.h"
 
 namespace fractal {
 
 Fractoid MotifsFractoid(const FractalGraph& graph, uint32_t k) {
   FRACTAL_CHECK(k >= 1);
-  return graph.VFractoid().Expand(k).Aggregate<Pattern, uint64_t, PatternHash>(
-      "motifs",
-      /*key_fn=*/
-      [](const Subgraph& subgraph, Computation& comp) {
-        return comp.CanonicalPattern(subgraph).pattern;
-      },
-      /*value_fn=*/
-      [](const Subgraph&, Computation&) -> uint64_t { return 1; },
-      /*reduce_fn=*/
-      [](uint64_t& into, uint64_t&& from) { into += from; });
+  return graph.VFractoid().Expand(k).AggregatePatterns<uint64_t>(
+      "motifs", /*initial=*/0,
+      /*reduce_fn=*/[](uint64_t& into, uint64_t&& from) { into += from; });
 }
 
 MotifsResult CountMotifs(const FractalGraph& graph, uint32_t k,

@@ -1,6 +1,7 @@
 // Motif extraction & counting (paper §2.2, Listing 1): counts the frequency
 // of every connected induced k-vertex pattern. Vertex-induced fractoid,
-// expand(k), aggregate by canonical pattern with count 1 and sum reduction.
+// expand(k), aggregate by canonical pattern with count 1 and sum reduction
+// (an in-place pattern aggregation, core/pattern_aggregation.h).
 #ifndef FRACTAL_APPS_MOTIFS_H_
 #define FRACTAL_APPS_MOTIFS_H_
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "enumerate/subgraph.h"
+#include "util/alloc_guard.h"
 #include "util/check.h"
 
 namespace fractal {
@@ -118,6 +119,10 @@ class AggregationSpecBase {
 
   virtual std::unique_ptr<AggregationStorageBase> CreateStorage() const = 0;
 
+  /// Largest subgraph (in vertices) the aggregation can key; the executor
+  /// rejects a workflow that could feed it a larger one before enumerating.
+  virtual uint32_t MaxSubgraphVertices() const { return UINT32_MAX; }
+
  private:
   std::string name_;
 };
@@ -143,6 +148,10 @@ class AggregationStorage : public AggregationStorageBase {
         post_filter_(std::move(post_filter)) {}
 
   void Accumulate(const Subgraph& subgraph, Computation& comp) override {
+    // User key/value/reduce callbacks and node-based map growth: application
+    // code with its own allocation policy (pattern aggregations take the
+    // allocation-free path of core/pattern_aggregation.h instead).
+    AllocGuard::Allow allow("user aggregation key/value/reduce callbacks");
     K key = key_fn_(subgraph, comp);
     V value = value_fn_(subgraph, comp);
     auto [it, inserted] = entries_.try_emplace(std::move(key));
@@ -211,7 +220,7 @@ class AggregationStorage : public AggregationStorageBase {
     return it == entries_.end() ? nullptr : &it->second;
   }
 
- private:
+ protected:
   std::unordered_map<K, V, Hash> entries_;
   KeyFn key_fn_;
   ValueFn value_fn_;

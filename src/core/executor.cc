@@ -77,6 +77,23 @@ Status ExecutionConfig::Validate() const {
   return Status::Ok();
 }
 
+Status CheckAggregationCapacity(const Fractoid& fractoid) {
+  uint32_t depth = 0;
+  for (const Primitive& primitive : fractoid.primitives()) {
+    if (primitive.kind == Primitive::Kind::kExpand) ++depth;
+    if (primitive.kind != Primitive::Kind::kAggregate) continue;
+    const uint32_t limit = primitive.aggregation->MaxSubgraphVertices();
+    const uint32_t vertices = fractoid.strategy()->MaxVerticesAt(depth);
+    if (vertices > limit) {
+      return InvalidArgumentError(StrFormat(
+          "aggregation '%s' would key subgraphs of up to %u vertices; its "
+          "key holds at most %u",
+          primitive.aggregation->name().c_str(), vertices, limit));
+    }
+  }
+  return Status::Ok();
+}
+
 ExecutionResult ExecuteFractoid(const Fractoid& fractoid,
                                 const ExecutionConfig& config) {
   return ExecuteFractoidStreaming(fractoid, config, nullptr);
@@ -128,6 +145,12 @@ ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
   };
   if (query_aborted()) {
     result.status = query_status();
+    return result;
+  }
+
+  // Before any enumeration: the hot path never meets an oversized subgraph.
+  if (Status capacity = CheckAggregationCapacity(fractoid); !capacity.ok()) {
+    result.status = std::move(capacity);
     return result;
   }
 

@@ -40,6 +40,13 @@ namespace fractal {
 [[nodiscard]] ExecutionResult ExecuteFractoid(const Fractoid& fractoid,
                                               const ExecutionConfig& config);
 
+/// OK unless some aggregation of `fractoid` could be fed a subgraph larger
+/// than its key holds (AggregationSpecBase::MaxSubgraphVertices, e.g. the
+/// quick-pattern key of pattern aggregations). Execution checks this before
+/// enumerating and fails with this status; iterative drivers (FSM) call it
+/// to stop cleanly at the capacity.
+Status CheckAggregationCapacity(const Fractoid& fractoid);
+
 /// Streaming variant of the O1 output operator: `sink` is invoked for every
 /// subgraph reaching the end of the final step, from the execution threads
 /// as results are found (no materialization). The sink MUST be thread-safe;

@@ -17,6 +17,7 @@
 
 #include "core/computation.h"
 #include "core/execution_types.h"
+#include "core/pattern_aggregation.h"
 #include "core/primitives.h"
 #include "enumerate/extension.h"
 #include "graph/graph.h"
@@ -67,6 +68,25 @@ class Fractoid {
         name, std::move(key_fn), std::move(value_fn), std::move(reduce_fn),
         std::move(post_filter));
     return WithAggregate(std::move(spec));
+  }
+
+  /// W2 for aggregations keyed by canonical pattern (motifs, FSM): each
+  /// subgraph is folded in place with FoldPatternMatch(V&, const
+  /// PatternMatch&) into a per-thread accumulator indexed by canonical class
+  /// (core/pattern_aggregation.h); fresh classes start from `initial`.
+  /// The completed result is an AggregationStorage<Pattern, V, PatternHash>
+  /// like any Aggregate<Pattern, V, PatternHash>. Subgraphs must fit the
+  /// quick-pattern key (QuickPatternKey::kMaxVertices vertices): a workflow
+  /// that could exceed it fails with a non-OK status before enumerating.
+  template <typename V>
+  Fractoid AggregatePatterns(
+      const std::string& name, V initial,
+      typename PatternAggregationStorage<V>::ReduceFn reduce_fn,
+      typename PatternAggregationStorage<V>::PostFilterFn post_filter =
+          nullptr) const {
+    return WithAggregate(std::make_shared<PatternAggregationSpec<V>>(
+        name, std::move(initial), std::move(reduce_fn),
+        std::move(post_filter)));
   }
 
   /// W5: chains the current workflow fragment `times` more times

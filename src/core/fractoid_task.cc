@@ -330,10 +330,11 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
     case Primitive::Kind::kAggregate: {
       const int32_t slot = storage_slots_[index];
       if (slot >= 0) {
-        // Accumulators (hash maps, pattern keys) are application-level
-        // storage with their own growth policy. Under lineage tracking the
-        // update goes to the task scratch (durable only at CommitTask).
-        AllocGuard::Allow allow("aggregation accumulator update");
+        // Pattern aggregations fold in place without allocating; only
+        // their cache misses and dense-table growth carry audited escapes
+        // (core/pattern_aggregation.h). Generic storages escape around
+        // their user callbacks. Under lineage tracking the update goes to
+        // the task scratch (durable only at CommitTask).
         auto& storages =
             t.lineage != nullptr ? s.task_storages : s.storages;
         storages[slot]->Accumulate(s.subgraph, *s.computation);
@@ -360,13 +361,14 @@ FractoidStepTask::Output FractoidStepTask::MergeOutputs() {
     }
   }
 
-  // Merge thread-local aggregation storages (the reduction side of A).
+  // Merge thread-local aggregation storages (the reduction side of A) into
+  // a fresh storage: thread-local ones may hold per-thread class ids
+  // (pattern aggregations), which merge by materialized key.
   for (size_t slot = 0; slot < new_aggregates_.size(); ++slot) {
     std::shared_ptr<AggregationStorageBase> merged =
-        std::move(states_[0]->storages[slot]);
-    for (size_t i = 1; i < states_.size(); ++i) {
-      merged->MergeFrom(*states_[i]->storages[slot]);
-    }
+        fractoid_.primitives()[new_aggregates_[slot]]
+            .aggregation->CreateStorage();
+    for (auto& s : states_) merged->MergeFrom(*s->storages[slot]);
     merged->ApplyPostFilter();
     output.merged.push_back(std::move(merged));
   }

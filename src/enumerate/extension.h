@@ -65,6 +65,10 @@ class ExtensionStrategy {
   /// Maximum subgraph depth this strategy can extend to, or 0 for unbounded
   /// (pattern-induced stops at the pattern size).
   virtual uint32_t MaxDepth() const { return 0; }
+
+  /// Most vertices a subgraph can have after `depth` extensions: one per
+  /// extension for vertex-style strategies (edge-induced overrides).
+  virtual uint32_t MaxVerticesAt(uint32_t depth) const { return depth; }
 };
 
 /// Vertex-induced extension with canonical subgraph checking. Used by
@@ -87,6 +91,10 @@ class EdgeInducedStrategy : public ExtensionStrategy {
       FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const override;
   FRACTAL_HOT void Apply(const Graph& graph, uint32_t extension,
                          Subgraph* subgraph) const override;
+  /// The first edge brings two vertices, every later one at most one.
+  uint32_t MaxVerticesAt(uint32_t depth) const override {
+    return depth == 0 ? 0 : depth + 1;
+  }
 };
 
 /// Whether a pattern match requires the absence of non-pattern edges.

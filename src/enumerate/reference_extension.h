@@ -38,6 +38,9 @@ class ReferenceEdgeInducedStrategy : public ExtensionStrategy {
                          std::vector<uint32_t>* out) const override;
   void Apply(const Graph& graph, uint32_t extension,
              Subgraph* subgraph) const override;
+  uint32_t MaxVerticesAt(uint32_t depth) const override {
+    return depth == 0 ? 0 : depth + 1;
+  }
 };
 
 /// Pre-kernel clique extension: per-candidate adjacency probes against every

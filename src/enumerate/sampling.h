@@ -54,6 +54,9 @@ class SamplingStrategy : public ExtensionStrategy {
     base_->Undo(graph, subgraph);
   }
   uint32_t MaxDepth() const override { return base_->MaxDepth(); }
+  uint32_t MaxVerticesAt(uint32_t depth) const override {
+    return base_->MaxVerticesAt(depth);
+  }
 
  private:
   static uint64_t Mix(uint64_t z) {

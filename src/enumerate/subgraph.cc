@@ -144,22 +144,32 @@ FRACTAL_HOT void Subgraph::Pop() {
   }
 }
 
-Pattern Subgraph::QuickPattern(const Graph& graph) const {
-  Pattern pattern;
-  for (const VertexId v : vertices_) {
-    pattern.AddVertex(graph.VertexLabel(v));
+FRACTAL_HOT QuickPatternKey Subgraph::QuickKey(const Graph& graph) const {
+  const uint32_t n = NumVertices();
+  FRACTAL_CHECK(n <= QuickPatternKey::kMaxVertices)
+      << "subgraph of " << n << " vertices exceeds the quick-pattern key";
+  QuickPatternKey key;
+  key.num_vertices = static_cast<uint8_t>(n);
+  key.num_edges = static_cast<uint8_t>(NumEdges());
+  for (uint32_t i = 0; i < n; ++i) {
+    key.vertex_labels[i] = graph.VertexLabel(vertices_[i]);
   }
+  Label labels_by_pair[QuickPatternKey::kMaxEdges];
   for (const EdgeId e : edges_) {
     const EdgeEndpoints& endpoints = graph.Endpoints(e);
-    uint32_t src_position = 0;
-    uint32_t dst_position = 0;
-    for (uint32_t i = 0; i < vertices_.size(); ++i) {
-      if (vertices_[i] == endpoints.src) src_position = i;
-      if (vertices_[i] == endpoints.dst) dst_position = i;
+    uint32_t a = 0;
+    uint32_t b = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (vertices_[i] == endpoints.src) a = i;
+      if (vertices_[i] == endpoints.dst) b = i;
     }
-    pattern.AddEdge(src_position, dst_position, graph.GetEdgeLabel(e));
+    const uint32_t pair =
+        QuickPatternKey::PairIndex(std::min(a, b), std::max(a, b));
+    key.adjacency |= 1u << pair;
+    labels_by_pair[pair] = graph.GetEdgeLabel(e);
   }
-  return pattern;
+  key.PackEdgeLabels(labels_by_pair);
+  return key;
 }
 
 std::string Subgraph::ToString() const {

@@ -17,6 +17,7 @@
 
 #include "graph/graph.h"
 #include "pattern/pattern.h"
+#include "pattern/quick_key.h"
 #include "util/alloc_guard.h"
 #include "util/hot_annotations.h"
 
@@ -74,9 +75,17 @@ class Subgraph {
   /// Number of pushes currently applied.
   uint32_t Depth() const { return static_cast<uint32_t>(records_.size()); }
 
-  /// The labeled pattern of this subgraph over positions in addition order
-  /// — the "quick pattern" memoization key for canonicalization.
-  Pattern QuickPattern(const Graph& graph) const;
+  /// The packed quick pattern (pattern/quick_key.h): this subgraph's
+  /// labeled pattern over positions in addition order, built without
+  /// allocating — the per-subgraph key of pattern aggregation. The subgraph
+  /// must fit the key (at most QuickPatternKey::kMaxVertices vertices).
+  FRACTAL_HOT QuickPatternKey QuickKey(const Graph& graph) const;
+
+  /// QuickKey(graph).ToPattern(): the heap form of the quick pattern, for
+  /// oracles, baselines and tests.
+  Pattern QuickPattern(const Graph& graph) const {
+    return QuickKey(graph).ToPattern();
+  }
 
   std::string ToString() const;
 

@@ -1,6 +1,7 @@
 #include "pattern/canonical.h"
 
 #include "pattern/automorphism.h"
+#include "util/alloc_guard.h"
 
 #include <algorithm>
 
@@ -141,16 +142,42 @@ bool AreIsomorphic(const Pattern& a, const Pattern& b) {
   return CanonicalForm(a).pattern == CanonicalForm(b).pattern;
 }
 
+const CanonicalPatternCache::Mapping& CanonicalPatternCache::Miss(
+    const QuickPatternKey& key, uint64_t hash) {
+  FRACTAL_HOT_ESCAPE("cache miss: once per distinct quick pattern per thread");
+  AllocGuard::Allow allow("canonical cache miss: canonicalize, grow tables");
+  ++misses_;
+  CanonicalResult canonical = CanonicalForm(key.ToPattern());
+  Mapping mapping;
+  mapping.key = key;
+  for (uint32_t i = 0; i < key.num_vertices; ++i) {
+    mapping.position[i] = static_cast<uint8_t>(canonical.permutation[i]);
+  }
+  const QuickPatternKey class_key =
+      QuickPatternKey::FromPattern(canonical.pattern);
+  const uint64_t class_hash = class_key.Hash();
+  const uint32_t found = class_index_.Find(class_key, class_hash);
+  if (found != QuickKeyTable<ClassIndexEntry>::kNotFound) {
+    mapping.class_id = class_index_.at(found).class_id;
+  } else {
+    mapping.class_id = static_cast<uint32_t>(classes_.size());
+    class_index_.Insert(ClassIndexEntry{class_key, mapping.class_id},
+                        class_hash);
+    classes_.push_back(std::move(canonical));
+  }
+  return mappings_.at(mappings_.Insert(mapping, hash));
+}
+
 const CanonicalResult& CanonicalPatternCache::Canonicalize(
     const Pattern& quick_pattern) {
-  auto it = cache_.find(quick_pattern);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  return cache_.emplace(quick_pattern, CanonicalForm(quick_pattern))
-      .first->second;
+  const Mapping& mapping = Classify(QuickPatternKey::FromPattern(quick_pattern));
+  const CanonicalResult& canonical = classes_[mapping.class_id];
+  // Copy-assignment reuses the slot's capacity: no allocation once warm.
+  pattern_result_.pattern = canonical.pattern;
+  pattern_result_.orbit = canonical.orbit;
+  pattern_result_.permutation.assign(
+      mapping.position, mapping.position + quick_pattern.NumVertices());
+  return pattern_result_;
 }
 
 }  // namespace fractal

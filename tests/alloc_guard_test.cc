@@ -1,15 +1,25 @@
 // AllocGuard unit tests: scope counting, nesting, Allow suppression,
-// thread-locality, the process-wide totals, and the abort backstop. Every
-// test skips itself when the interposing operator new/delete runtime is
-// compiled out (FRACTAL_ENABLE_ALLOC_GUARD=OFF).
+// thread-locality, the process-wide totals, and the abort backstop — plus
+// warm motif-counting and FSM steps, whose pattern-aggregation path (packed
+// key, flat canonical cache, dense accumulators) must run allocation-free
+// under the armed guard. Every test skips itself when the interposing
+// operator new/delete runtime is compiled out
+// (FRACTAL_ENABLE_ALLOC_GUARD=OFF).
 #include "util/alloc_guard.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <thread>
+
+#include "apps/fsm.h"
+#include "apps/motifs.h"
+#include "core/context.h"
+#include "graph/generators.h"
+#include "obs/metrics.h"
 
 namespace fractal {
 namespace {
@@ -155,6 +165,89 @@ TEST_F(AllocGuardTest, AbortModeHonorsAllow) {
   AllocGuard guard(AllocGuard::Mode::kAbort);
   AllocGuard::Allow allow("audited: must not abort");
   ::operator delete(AllocateVisible(8));  // process survives => pass
+}
+
+
+// --- Pattern aggregation under the guard ------------------------------------
+// Past the per-step warm-up every subgraph's key build, cache probe and
+// in-place fold runs inside FractoidStepTask's guard scope with no escape
+// around it; only cache misses, first folds of a class and geometric table
+// growth carry audited Allow scopes. ci.sh re-runs this binary with
+// FRACTAL_ALLOC_GUARD=abort.
+
+struct AggregationResults {
+  std::map<Pattern, uint64_t> motifs;
+  std::map<Pattern, uint64_t> frequent;
+
+  bool operator==(const AggregationResults&) const = default;
+};
+
+AggregationResults RunAggregations() {
+  PowerLawParams params;
+  params.num_vertices = 400;
+  params.edges_per_vertex = 4;
+  params.num_vertex_labels = 4;
+  params.triangle_closure = 0.3;
+  params.seed = 3;
+  FractalContext fctx;
+  const FractalGraph graph = fctx.FromGraph(GeneratePowerLaw(params));
+  ExecutionConfig config;
+  config.num_workers = 1;
+  config.threads_per_worker = 2;
+  AggregationResults results;
+  for (const auto& [pattern, count] : CountMotifs(graph, 4, config).counts) {
+    results.motifs.emplace(pattern, count);
+  }
+  const FsmResult fsm = RunFsm(graph, /*min_support=*/40, 3, config);
+  for (const auto& [pattern, support] : fsm.frequent) {
+    results.frequent.emplace(pattern, support);
+  }
+  return results;
+}
+
+class PatternAggregationGuardTest : public AllocGuardTest {
+ protected:
+  void SetUp() override {
+    AllocGuardTest::SetUp();
+    prior_mode_ = AllocGuard::GlobalMode();
+  }
+  void TearDown() override {
+    if (AllocGuard::Active()) AllocGuard::SetGlobalMode(prior_mode_);
+  }
+
+  AllocGuard::Mode prior_mode_ = AllocGuard::Mode::kOff;
+};
+
+TEST_F(PatternAggregationGuardTest, WarmStepsAreAllocationFreeInCountMode) {
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const AggregationResults expected = RunAggregations();
+
+  const uint64_t work_before = obs::WorkUnitsCounter().Value();
+  const uint64_t guarded_before = AllocGuard::TotalGuardedAllocations();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kCount);
+  const AggregationResults counted = RunAggregations();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t guarded =
+      AllocGuard::TotalGuardedAllocations() - guarded_before;
+  const uint64_t work = obs::WorkUnitsCounter().Value() - work_before;
+
+  EXPECT_EQ(counted, expected);
+  EXPECT_FALSE(expected.motifs.empty());
+  EXPECT_FALSE(expected.frequent.empty());
+  // Enough work per step that the guards armed at all.
+  ASSERT_GT(work, 8 * AllocGuard::warmup_units());
+  EXPECT_EQ(guarded, 0u)
+      << "steady-state heap allocations on the pattern-aggregation path";
+}
+
+TEST_F(PatternAggregationGuardTest, WarmStepsCompleteUnderAbortMode) {
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const AggregationResults expected = RunAggregations();
+  // Surviving is the assertion: a guarded allocation aborts the process.
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kAbort);
+  const AggregationResults aborted_mode = RunAggregations();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  EXPECT_EQ(aborted_mode, expected);
 }
 
 }  // namespace

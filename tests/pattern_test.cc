@@ -4,7 +4,11 @@
 #include <map>
 #include <numeric>
 
+#include "core/context.h"
+#include "core/executor.h"
+#include "enumerate/subgraph.h"
 #include "graph/generators.h"
+#include "pattern/quick_key.h"
 #include "pattern/automorphism.h"
 #include "pattern/canonical.h"
 #include "pattern/dfs_code.h"
@@ -268,6 +272,150 @@ TEST(SymmetryBreakingTest, ExactlyOneRepresentativePerOrbit) {
     }
     EXPECT_EQ(satisfying, 1u) << p.ToString();
   }
+}
+
+
+// --- QuickPatternKey ---------------------------------------------------------
+
+// The pre-key construction of the quick pattern (heap Pattern, positions by
+// linear scan), kept here as the independent reference for the packed key.
+Pattern ReferenceQuickPattern(const Subgraph& subgraph, const Graph& graph) {
+  Pattern pattern;
+  for (const VertexId v : subgraph.Vertices()) {
+    pattern.AddVertex(graph.VertexLabel(v));
+  }
+  for (const EdgeId e : subgraph.Edges()) {
+    const EdgeEndpoints& endpoints = graph.Endpoints(e);
+    uint32_t src = 0;
+    uint32_t dst = 0;
+    for (uint32_t i = 0; i < subgraph.NumVertices(); ++i) {
+      if (subgraph.VertexAt(i) == endpoints.src) src = i;
+      if (subgraph.VertexAt(i) == endpoints.dst) dst = i;
+    }
+    pattern.AddEdge(src, dst, graph.GetEdgeLabel(e));
+  }
+  return pattern;
+}
+
+/// Vertex- and edge-induced subgraphs of a random graph with vertex and
+/// edge labels (so every field of the key is exercised), collected through
+/// the engine in their enumeration (addition) order.
+std::vector<Subgraph> RandomSubgraphs(const Graph& g) {
+  FractalContext fctx;
+  const FractalGraph graph = fctx.FromGraph(Graph(g));
+  ExecutionConfig config;
+  config.num_workers = 1;
+  config.threads_per_worker = 2;
+  config.max_collected_subgraphs = 400;
+  std::vector<Subgraph> subgraphs;
+  for (uint32_t k = 1; k <= 5; ++k) {
+    for (Subgraph& s : graph.VFractoid().Expand(k).CollectSubgraphs(config)) {
+      subgraphs.push_back(std::move(s));
+    }
+  }
+  for (uint32_t k = 1; k <= 6; ++k) {
+    for (Subgraph& s : graph.EFractoid().Expand(k).CollectSubgraphs(config)) {
+      subgraphs.push_back(std::move(s));
+    }
+  }
+  return subgraphs;
+}
+
+class QuickKeyProperty : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuickKeyProperty,
+                         ::testing::Values(11, 12, 13));
+
+TEST_P(QuickKeyProperty, KeyRoundTripsToTheQuickPattern) {
+  const Graph g = GenerateRandomGraph(12, 26, 3, 3, GetParam());
+  const std::vector<Subgraph> subgraphs = RandomSubgraphs(g);
+  ASSERT_GT(subgraphs.size(), 100u);
+  for (const Subgraph& s : subgraphs) {
+    const Pattern reference = ReferenceQuickPattern(s, g);
+    const QuickPatternKey key = s.QuickKey(g);
+    EXPECT_EQ(key.ToPattern(), reference) << s.ToString();
+    EXPECT_EQ(s.QuickPattern(g), reference) << s.ToString();
+    EXPECT_EQ(QuickPatternKey::FromPattern(reference), key) << s.ToString();
+    EXPECT_EQ(key.num_edges, s.NumEdges());
+  }
+}
+
+TEST_P(QuickKeyProperty, KeyEqualityAndHashAgreeWithPatternEquality) {
+  const Graph g = GenerateRandomGraph(10, 22, 2, 2, GetParam());
+  std::vector<Subgraph> subgraphs = RandomSubgraphs(g);
+  subgraphs.resize(std::min<size_t>(subgraphs.size(), 600));
+  std::vector<QuickPatternKey> keys;
+  std::vector<Pattern> patterns;
+  for (const Subgraph& s : subgraphs) {
+    keys.push_back(s.QuickKey(g));
+    patterns.push_back(ReferenceQuickPattern(s, g));
+  }
+  uint64_t equal_pairs = 0;
+  uint64_t hash_collisions = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t j = i + 1; j < keys.size(); ++j) {
+      const bool same_pattern = patterns[i] == patterns[j];
+      ASSERT_EQ(keys[i] == keys[j], same_pattern)
+          << patterns[i].ToString() << " vs " << patterns[j].ToString();
+      if (same_pattern) {
+        ++equal_pairs;
+        EXPECT_EQ(keys[i].Hash(), keys[j].Hash());
+      } else if (keys[i].Hash() == keys[j].Hash()) {
+        ++hash_collisions;
+      }
+    }
+  }
+  EXPECT_GT(equal_pairs, 0u);  // the sample repeats quick patterns
+  EXPECT_EQ(hash_collisions, 0u);
+}
+
+TEST(QuickKeyTest, CanonicalizeByPatternMatchesCanonicalForm) {
+  const Graph g = GenerateRandomGraph(12, 26, 3, 2, 21);
+  CanonicalPatternCache cache;
+  for (const Subgraph& s : RandomSubgraphs(g)) {
+    const Pattern quick = s.QuickPattern(g);
+    const CanonicalResult expected = CanonicalForm(quick);
+    const CanonicalResult& got = cache.Canonicalize(quick);
+    EXPECT_EQ(got.pattern, expected.pattern);
+    EXPECT_EQ(quick.Permuted(got.permutation), expected.pattern);
+    EXPECT_EQ(got.orbit, expected.orbit);
+    // The hot-path lookup agrees with the Pattern-typed one.
+    const CanonicalPatternCache::Mapping& mapping =
+        cache.Classify(s.QuickKey(g));
+    EXPECT_EQ(cache.Class(mapping.class_id).pattern, expected.pattern);
+  }
+  EXPECT_GT(cache.Hits(), 0u);
+  EXPECT_EQ(cache.Misses(), cache.CacheSize());
+  EXPECT_LE(cache.NumClasses(), cache.CacheSize());
+}
+
+TEST(QuickKeyTest, OversizedAggregationIsRejectedBeforeEnumeration) {
+  const Graph g = GenerateRandomGraph(30, 90, 2, 1, 5);
+  FractalContext fctx;
+  const FractalGraph graph = fctx.FromGraph(Graph(g));
+  const uint32_t max_vertices = QuickPatternKey::kMaxVertices;
+  const auto counts = [](const Fractoid& fractoid) {
+    return fractoid.AggregatePatterns<uint64_t>(
+        "counts", 0, [](uint64_t& a, uint64_t&& b) { a += b; });
+  };
+  // Vertex-induced: k vertices after k expansions; edge-induced: e + 1.
+  EXPECT_TRUE(CheckAggregationCapacity(
+                  counts(graph.VFractoid().Expand(max_vertices)))
+                  .ok());
+  EXPECT_TRUE(CheckAggregationCapacity(
+                  counts(graph.EFractoid().Expand(max_vertices - 1)))
+                  .ok());
+  const Fractoid too_deep = counts(graph.VFractoid().Expand(max_vertices + 1));
+  EXPECT_FALSE(CheckAggregationCapacity(too_deep).ok());
+  EXPECT_FALSE(
+      CheckAggregationCapacity(counts(graph.EFractoid().Expand(max_vertices)))
+          .ok());
+
+  const ExecutionResult result = too_deep.Execute();
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+      << result.status;
+  EXPECT_EQ(result.steps_executed, 0u);  // nothing was enumerated
+  EXPECT_TRUE(result.telemetry.steps.empty());
 }
 
 }  // namespace

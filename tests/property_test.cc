@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -20,6 +21,8 @@
 #include "graph/graph_reduce.h"
 #include "pattern/canonical.h"
 #include "pattern/dfs_code.h"
+#include "pattern/quick_key.h"
+#include "runtime/fault.h"
 #include "tests/brute_force.h"
 #include "util/random.h"
 
@@ -336,6 +339,163 @@ TEST_P(SeededProperty, KernelExtensionsMatchReferenceUnderReduction) {
                     ReferenceVertexInducedStrategy{}, 3);
   DifferentialSweep(reduced, EdgeInducedStrategy{},
                     ReferenceEdgeInducedStrategy{}, 3);
+}
+
+// --- Differential aggregation sweep ------------------------------------------
+// Pattern aggregations (packed quick keys, per-thread class ids, dense
+// accumulators, merge-time key materialization) against the brute-force
+// oracles: pattern -> count against brute::MotifCounts and pattern -> MNI
+// support against brute::FsmFrequentPatterns. The graphs carry vertex AND
+// edge labels, so every field of the key is exercised; every result is
+// checked on three cluster topologies, under salvage recovery, and under
+// random fault plans.
+
+struct Topology {
+  uint32_t workers;
+  uint32_t threads;
+};
+constexpr Topology kTopologies[] = {{1, 1}, {1, 4}, {2, 2}};
+
+ExecutionConfig TopologyConfig(const Topology& topology) {
+  ExecutionConfig config;
+  config.num_workers = topology.workers;
+  config.threads_per_worker = topology.threads;
+  config.network.latency_micros = 1;
+  return config;
+}
+
+void ExpectMotifsEqual(const MotifsResult& result,
+                       const std::map<Pattern, uint64_t>& expected) {
+  ASSERT_TRUE(result.execution.status.ok()) << result.execution.status;
+  EXPECT_EQ(result.counts.size(), expected.size());
+  uint64_t total = 0;
+  for (const auto& [pattern, count] : expected) {
+    const auto it = result.counts.find(pattern);
+    ASSERT_NE(it, result.counts.end()) << "missing " << pattern.ToString();
+    EXPECT_EQ(it->second, count) << pattern.ToString();
+    total += count;
+  }
+  EXPECT_EQ(result.total, total);
+}
+
+void ExpectFsmEqual(const FsmResult& result,
+                    const std::map<Pattern, uint64_t>& expected) {
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  std::map<Pattern, uint64_t> got;
+  for (const auto& [pattern, support] : result.frequent) {
+    EXPECT_TRUE(got.emplace(pattern, support).second)
+        << "reported twice: " << pattern.ToString();
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST_P(SeededProperty, MotifCountsMatchBruteForceAcrossTopologies) {
+  const Graph g = GenerateRandomGraph(13, 30, 3, 2, GetParam());
+  FractalContext fctx;
+  const FractalGraph graph = fctx.FromGraph(Graph(g));
+  for (uint32_t k = 1; k <= 5; ++k) {
+    const std::map<Pattern, uint64_t> expected = brute::MotifCounts(g, k);
+    for (const Topology& topology : kTopologies) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " topology " +
+                   std::to_string(topology.workers) + "x" +
+                   std::to_string(topology.threads));
+      ExpectMotifsEqual(CountMotifs(graph, k, TopologyConfig(topology)),
+                        expected);
+    }
+  }
+}
+
+TEST_P(SeededProperty, FsmSupportsMatchBruteForceAcrossTopologies) {
+  const Graph g = GenerateRandomGraph(16, 34, 2, 2, GetParam());
+  FractalContext fctx;
+  const FractalGraph graph = fctx.FromGraph(Graph(g));
+  for (const uint32_t support : {1u, 2u, 3u}) {
+    const std::map<Pattern, uint64_t> expected =
+        brute::FsmFrequentPatterns(g, support, 3);
+    for (const Topology& topology : kTopologies) {
+      SCOPED_TRACE("support=" + std::to_string(support) + " topology " +
+                   std::to_string(topology.workers) + "x" +
+                   std::to_string(topology.threads));
+      ExpectFsmEqual(RunFsm(graph, support, 3, TopologyConfig(topology)),
+                     expected);
+    }
+  }
+}
+
+// Salvage recovery and random fault plans: lineage task scratch folds into
+// the committed accumulators by class id, crashed tasks' scratch is
+// dropped, replays re-fold — the merged result must still equal the oracle.
+// FRACTAL_CHAOS_SEEDS widens the sweep (ci.sh chaos stages).
+TEST(AggregationChaosTest, PatternAggregationsMatchBruteForceUnderFaults) {
+  int num_seeds = 6;
+  if (const char* env = std::getenv("FRACTAL_CHAOS_SEEDS")) {
+    num_seeds = std::atoi(env);
+    ASSERT_GT(num_seeds, 0);
+  }
+  const Graph g = GenerateRandomGraph(22, 60, 3, 2, 77);
+  FractalContext fctx;
+  const FractalGraph graph = fctx.FromGraph(Graph(g));
+  const std::map<Pattern, uint64_t> motifs = brute::MotifCounts(g, 4);
+  const std::map<Pattern, uint64_t> frequent =
+      brute::FsmFrequentPatterns(g, 2, 3);
+
+  for (int seed = 1; seed <= num_seeds; ++seed) {
+    for (const bool salvage : {false, true}) {
+      ExecutionConfig config;
+      config.num_workers = 3;
+      config.threads_per_worker = 2;
+      config.network.latency_micros = 1;
+      config.network.request_timeout_micros = 3000;
+      config.network.max_steal_retries = 2;
+      config.network.retry_backoff_micros = 50;
+      config.network.suspect_after_timeouts = 2;
+      config.retry.max_attempts = 4;
+      if (salvage) config.retry.mode = RetryPolicy::Mode::kSalvage;
+      config.fault_plan = FaultPlan::Random(static_cast<uint64_t>(seed), 3);
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (salvage ? " salvage" : " from-scratch") + " plan '" +
+                   config.fault_plan.ToString() + "'");
+      ExpectMotifsEqual(CountMotifs(graph, 4, config), motifs);
+      ExpectFsmEqual(RunFsm(graph, 2, 3, config), frequent);
+    }
+  }
+}
+
+// Unbounded FSM on a graph whose patterns never stop being frequent (a
+// cycle at support 1) stops cleanly at the key's capacity with every level
+// it could mine, instead of aborting or looping.
+TEST(AggregationCapacityTest, UnboundedFsmStopsAtKeyCapacity) {
+  const uint32_t n = 12;
+  GraphBuilder builder;
+  for (uint32_t v = 0; v < n; ++v) builder.AddVertex(0);
+  for (uint32_t v = 0; v < n; ++v) builder.AddEdge(v, (v + 1) % n);
+  const Graph g = std::move(builder).Build();
+  FractalContext fctx;
+  const FractalGraph graph = fctx.FromGraph(Graph(g));
+  ExecutionConfig config;
+  config.num_workers = 1;
+  config.threads_per_worker = 2;
+
+  const FsmResult result = RunFsm(graph, /*min_support=*/1,
+                                  /*max_edges=*/0, config);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+      << result.status;
+  // Paths of 1..7 edges (8 vertices) fit the key; the 8-edge level does
+  // not, so mining stops after 7 iterations.
+  const uint32_t max_edges = QuickPatternKey::kMaxVertices - 1;
+  EXPECT_EQ(result.iterations, max_edges);
+  ASSERT_EQ(result.frequent.size(), max_edges);
+  for (const auto& [pattern, support] : result.frequent) {
+    EXPECT_EQ(pattern, CanonicalForm(Pattern::PathPattern(
+                                         pattern.NumVertices()))
+                           .pattern);
+    EXPECT_EQ(support, n);
+  }
+
+  // A support no pattern reaches ends mining normally.
+  const FsmResult exhausted = RunFsm(graph, n + 1, 0, config);
+  EXPECT_TRUE(exhausted.status.ok()) << exhausted.status;
+  EXPECT_TRUE(exhausted.frequent.empty());
 }
 
 TEST(ExploreTest, ExploreZeroIsIdentity) {

@@ -253,9 +253,12 @@ TEST(AsyncExecutorTest, ConcurrentQueriesMatchSerialExecution) {
   std::vector<QueryHandle> handles;
   ExecutionConfig config;
   for (size_t i = 0; i < fractoids.size(); ++i) {
-    auto handle = ExecuteFractoidAsync(
-        fractoids[i], config, scheduler,
-        {.name = "q" + std::to_string(i)});
+    // Appended, not `"q" + std::to_string(i)`: GCC 12's Release inliner
+    // raises a -Wrestrict false positive on that operator+.
+    std::string name = "q";
+    name += std::to_string(i);
+    auto handle = ExecuteFractoidAsync(fractoids[i], config, scheduler,
+                                       {.name = std::move(name)});
     ASSERT_TRUE(handle.ok()) << handle.status();
     handles.push_back(*std::move(handle));
   }

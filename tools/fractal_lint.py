@@ -93,6 +93,9 @@ CALL_WHITELIST = {
     "popcount", "countr_zero", "countl_zero", "bit_width", "rotl", "rotr",
     # <algorithm> erase-remove (shrinks, never grows)
     "remove_if", "remove",
+    # <algorithm> in-place reordering: introsort and adjacent dedup use no
+    # buffer (stable_sort / inplace_merge allocate and stay unlisted)
+    "sort", "unique",
     # libc
     "memcpy", "memmove", "memset", "memcmp", "strlen", "strcmp", "strncmp",
     "snprintf", "vsnprintf", "getenv", "strtoull", "strtol", "write",
