@@ -49,7 +49,6 @@ void Usage() {
       "       [--profile-out <collapsed.txt>] [--profile-hz <rate>]\n"
       "       [--statusz-port <port>] [--progress-ms <interval>]\n"
       "       [--fault-spec <plan>] [--fault-seed <n>]\n"
-      "       [--crash-worker <w>] [--crash-after <units>]\n"
       "       [--retry-mode <scratch|salvage>]\n"
       "       [--concurrency <n>] [--deadline-ms <ms>]\n"
       "\n"
@@ -65,8 +64,7 @@ void Usage() {
       "after=3'\n"
       "    'drop:p=0.05' 'delay:p=0.1,us=5000' 'slow:w=1,us=20'\n"
       "    'crash-in-salvage:w=1,after=10' (fires during salvage replay)\n"
-      "  --crash-worker/--crash-after desugar into a crash:w=...,after=...\n"
-      "  entry; --fault-seed seeds probabilistic decisions.\n"
+      "  --fault-seed seeds probabilistic decisions.\n"
       "  --retry-mode picks how a crashed step is re-executed: 'scratch'\n"
       "  (default; discard and re-run on the survivors, paper section 4) or\n"
       "  'salvage' (lineage-ledger partial recovery, DESIGN.md section 11:\n"
@@ -107,8 +105,6 @@ int main(int argc, char** argv) {
   int profile_hz = obs::Profiler::kDefaultHz;
   std::string fault_spec;
   uint64_t fault_seed = 0;
-  int crash_worker = -1;
-  long long crash_after = 100;
   bool dump_metrics = false;
   int concurrency = 0;
   long long deadline_ms = 0;
@@ -166,10 +162,6 @@ int main(int argc, char** argv) {
       fault_spec = next("--fault-spec");
     } else if (!std::strcmp(argv[i], "--fault-seed")) {
       fault_seed = std::strtoull(next("--fault-seed"), nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--crash-worker")) {
-      crash_worker = std::atoi(next("--crash-worker"));
-    } else if (!std::strcmp(argv[i], "--crash-after")) {
-      crash_after = std::atoll(next("--crash-after"));
     } else if (!std::strcmp(argv[i], "--concurrency")) {
       concurrency = std::atoi(next("--concurrency"));
     } else if (!std::strcmp(argv[i], "--deadline-ms")) {
@@ -195,26 +187,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Desugar the fault flags into one FaultPlan: --fault-spec provides the
-  // schedule, and the legacy --crash-worker/--crash-after pair appends a
-  // deterministic crash entry.
-  {
-    FaultPlan plan(fault_seed);
-    if (!fault_spec.empty()) {
-      auto parsed = FaultPlan::Parse(fault_spec, fault_seed);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad --fault-spec: %s\n",
-                     parsed.status().ToString().c_str());
-        return 2;
-      }
-      plan = std::move(parsed).value();
+  // --fault-spec is the one way to schedule faults (FaultPlan grammar).
+  if (!fault_spec.empty()) {
+    auto parsed = FaultPlan::Parse(fault_spec, fault_seed);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "bad --fault-spec: %s\n",
+                   parsed.status().ToString().c_str());
+      return 2;
     }
-    if (crash_worker >= 0) {
-      plan.CrashWorker(crash_worker,
-                       static_cast<uint64_t>(crash_after > 0 ? crash_after
-                                                             : 1));
-    }
-    config.fault_plan = std::move(plan);
+    config.fault_plan = std::move(parsed).value();
   }
 
   Graph input;

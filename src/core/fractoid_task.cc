@@ -64,7 +64,7 @@ FRACTAL_HOT void FractoidStepTask::DrainRoots(ThreadContext& t,
     DrainRootsTracked(t, s, std::move(roots));
     return;
   }
-  t.frames[0]->Refill(s.subgraph, /*primitive_index=*/1, std::move(roots));
+  RefillFrame(s, *t.frames[0], /*primitive_index=*/1, std::move(roots));
   DrainFrame(t, s, *t.frames[0]);
 }
 
@@ -75,8 +75,7 @@ FRACTAL_HOT void FractoidStepTask::DrainRootsTracked(
   // Frame 0 stays the stealable root queue in both modes; the sentinel
   // primitive index marks stolen entries as replay indices, not extensions.
   SubgraphEnumerator& frame = *t.frames[0];
-  frame.Refill(s.subgraph, replay ? kReplayRootPrimitive : 1,
-               std::move(roots));
+  RefillFrame(s, frame, replay ? kReplayRootPrimitive : 1, std::move(roots));
   FaultInjector* const injector = t.control->injector;
   while (const auto extension = frame.ConsumeNext()) {
     const uint64_t task_id = lineage.RootTaskId(*extension);
@@ -209,12 +208,23 @@ FRACTAL_HOT void FractoidStepTask::ProcessStolen(
 
 void FractoidStepTask::FinishThread(ThreadContext& t) {
   CoreState& s = *states_[t.core_id];
+  ExtensionContext& ctx = s.computation->extension_context();
   // Per-attempt delta: the Computation (and its cumulative test counter)
   // survives across salvage passes of one task, while t.stats resets at
   // every step start.
-  const uint64_t tests = s.computation->extension_context().extension_tests;
-  t.stats.extension_tests = tests - s.tests_flushed;
-  s.tests_flushed = tests;
+  t.stats.extension_tests = ctx.extension_tests - s.tests_flushed;
+  s.tests_flushed = ctx.extension_tests;
+  // The DFS's thread-owned kernel, batch-size and scratch tallies reach the
+  // shared registry here, once per thread per step and before the barrier,
+  // so every counter reads complete when RunStep returns.
+  ctx.FlushCounters();
+}
+
+FRACTAL_HOT void FractoidStepTask::RefillFrame(
+    CoreState& s, SubgraphEnumerator& frame, uint32_t primitive_index,
+    std::vector<uint32_t>&& extensions) {
+  s.computation->extension_context().batch_sizes.Record(extensions.size());
+  frame.Refill(s.subgraph, primitive_index, std::move(extensions));
 }
 
 void FractoidStepTask::DrainFrame(ThreadContext& t, CoreState& s,
@@ -299,7 +309,7 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
           s.subgraph.NumEdges() * sizeof(EdgeId);
       s.state_bytes += s.frame_bytes[depth];
       s.peak_state_bytes = std::max(s.peak_state_bytes, s.state_bytes);
-      frame.Refill(s.subgraph, index + 1, std::move(*scratch.get()));
+      RefillFrame(s, frame, index + 1, std::move(*scratch.get()));
       DrainFrame(t, s, frame);
       break;
     }

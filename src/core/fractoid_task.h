@@ -93,6 +93,12 @@ class FractoidStepTask : public StepTask {
     uint64_t tests_flushed = 0;
   };
 
+  /// Installs `extensions` in `frame` and tallies the batch size in the
+  /// thread's ExtensionContext ("enumerate.batch_size", flushed by
+  /// FinishThread).
+  FRACTAL_HOT static void RefillFrame(CoreState& s, SubgraphEnumerator& frame,
+                                      uint32_t primitive_index,
+                                      std::vector<uint32_t>&& extensions);
   FRACTAL_HOT void DrainFrame(ThreadContext& t, CoreState& s,
                               SubgraphEnumerator& frame);
   FRACTAL_HOT void Process(ThreadContext& t, CoreState& s, uint32_t index);

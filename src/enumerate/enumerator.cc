@@ -24,10 +24,10 @@ obs::Counter& EnumerateStealsCounter() {
 FRACTAL_HOT void SubgraphEnumerator::Refill(
     const Subgraph& prefix, uint32_t primitive_index,
     std::vector<uint32_t>&& extensions) {
-  // Span and histogram record before mu_ is taken (and the span's end after
-  // it is released): no trace-buffer work under the enumerator steal lock.
+  // The span opens before mu_ is taken (and closes after it is released):
+  // no trace-buffer work under the enumerator steal lock. The batch-size
+  // histogram is the caller's thread-owned tally (ExtensionContext).
   FRACTAL_TRACE_SPAN_V("enumerate/refill", extensions.size());
-  obs::ExtensionBatchHistogram().Record(extensions.size());
   MutexLock lock(mu_);
   prefix_ = prefix;
   primitive_index_ = primitive_index;
@@ -47,11 +47,12 @@ FRACTAL_HOT bool SubgraphEnumerator::TrySteal(StolenWork* out) {
   obs::Counter& steals = EnumerateStealsCounter();
   MutexLock lock(mu_);
   if (!active_.load(std::memory_order_acquire)) return false;
-  const uint32_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
+  const uint32_t index = ClaimIndex();
   if (index >= extensions_.size()) return false;
   out->prefix = prefix_;
   out->extension = extensions_[index];
   out->primitive_index = primitive_index_;
+  FRACTAL_HOT_ESCAPE("once per successful steal, not per work unit");
   steals.Add(1);  // lock-free atomic; safe under mu_
   return true;
 }

@@ -54,7 +54,7 @@ class SubgraphEnumerator {
   /// express, hence the opt-out annotation.
   FRACTAL_HOT std::optional<uint32_t> ConsumeNext() NO_THREAD_SAFETY_ANALYSIS {
     if (!active_.load(std::memory_order_acquire)) return std::nullopt;
-    const uint32_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
+    const uint32_t index = ClaimIndex();
     if (index >= extensions_.size()) return std::nullopt;
     return extensions_[index];
   }
@@ -95,6 +95,15 @@ class SubgraphEnumerator {
   }
 
  private:
+  /// Claims the next cursor position for the owner or a thief.
+  FRACTAL_HOT uint32_t ClaimIndex() {
+    FRACTAL_HOT_ESCAPE("claim protocol: owner and thieves claim extensions "
+                       "through this one cursor, so the RMW is shared by "
+                       "design (its line is contended only while a thief "
+                       "works this frame)");
+    return cursor_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   mutable Mutex mu_{"SubgraphEnumerator::mu"};
   std::atomic<uint32_t> cursor_{0};
   std::atomic<bool> active_{false};

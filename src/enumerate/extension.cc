@@ -107,12 +107,13 @@ FRACTAL_HOT void VertexInducedStrategy::ComputeExtensions(
       if (graph.HubRow(word[q]) != nullptr) continue;
       if (!seeded) {
         adjacency::DifferenceAbove(neighbors, graph.Neighbors(word[q]), bound,
-                                   cur);
+                                   cur, &ctx.kernels);
         seeded = true;
         continue;
       }
       next->clear();
-      adjacency::Difference(*cur, graph.Neighbors(word[q]), next);
+      adjacency::Difference(*cur, graph.Neighbors(word[q]), next,
+                            &ctx.kernels);
       std::swap(cur, next);
     }
     if (!seeded) adjacency::CopyAbove(neighbors, bound, cur);
@@ -434,7 +435,7 @@ FRACTAL_HOT void KClistStrategy::ComputeExtensions(
       continue;
     }
     next->clear();
-    adjacency::Intersect(*cur, graph.Neighbors(word[i]), next);
+    adjacency::Intersect(*cur, graph.Neighbors(word[i]), next, &ctx.kernels);
     std::swap(cur, next);
   }
   adjacency::EnsureHeadroom(out, cur->size());
@@ -444,6 +445,12 @@ FRACTAL_HOT void KClistStrategy::ComputeExtensions(
 FRACTAL_HOT void KClistStrategy::Apply(const Graph& graph, uint32_t extension,
                                        Subgraph* subgraph) const {
   subgraph->PushVertexInduced(graph, extension);
+}
+
+void ExtensionContext::FlushCounters() {
+  kernels.Flush();
+  batch_sizes.FlushInto(obs::ExtensionBatchHistogram());
+  arena.FlushCounters();
 }
 
 bool UseReferenceExtensions() {

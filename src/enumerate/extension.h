@@ -21,7 +21,9 @@
 
 #include "enumerate/scratch_arena.h"
 #include "enumerate/subgraph.h"
+#include "graph/adjacency.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "pattern/automorphism.h"
 #include "pattern/pattern.h"
 #include "util/hot_annotations.h"
@@ -34,9 +36,28 @@ namespace fractal {
 /// sets. `arena` feeds the set-algebra kernels' intermediate buffers and the
 /// DFS expansion buffers (one context per execution thread, so the arena is
 /// single-owner; see scratch_arena.h for the ownership rules).
+///
+/// The other tallies are the plain, thread-owned halves of shared registry
+/// metrics (DESIGN.md §6): the DFS writes only here, and FlushCounters folds
+/// them into the registry — once per thread per step from
+/// FractoidStepTask::FinishThread, and on destruction for every other user.
 struct ExtensionContext {
   uint64_t extension_tests = 0;
+  /// Set-algebra kernel calls ("enumerate.intersections"/"galloped").
+  adjacency::KernelCounts kernels;
+  /// Extension-set size per enumerator refill ("enumerate.batch_size").
+  obs::LocalHistogram batch_sizes;
   ScratchArena arena;
+
+  ExtensionContext() = default;
+  ExtensionContext(const ExtensionContext&) = delete;
+  ExtensionContext& operator=(const ExtensionContext&) = delete;
+  ~ExtensionContext() { FlushCounters(); }
+
+  /// Folds the kernel, batch-size and scratch tallies into the registry
+  /// and zeroes them. `extension_tests` is not touched: the runtime credits
+  /// it from ThreadStats at the step barrier.
+  void FlushCounters();
 };
 
 /// Strategy interface (one implementation per fractoid type).

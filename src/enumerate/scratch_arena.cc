@@ -4,18 +4,13 @@
 #include "util/alloc_guard.h"
 
 namespace fractal {
-namespace {
 
-obs::Counter& ScratchHits() {
-  static obs::Counter& counter = obs::ScratchHitsCounter();
-  return counter;
+void ScratchArena::FlushCounters() {
+  if (hits_ != 0) obs::ScratchHitsCounter().Add(hits_);
+  if (misses_ != 0) obs::ScratchMissesCounter().Add(misses_);
+  hits_ = 0;
+  misses_ = 0;
 }
-obs::Counter& ScratchMisses() {
-  static obs::Counter& counter = obs::ScratchMissesCounter();
-  return counter;
-}
-
-}  // namespace
 
 FRACTAL_HOT std::vector<uint32_t>* ScratchArena::Acquire() {
   ++live_;
@@ -23,13 +18,13 @@ FRACTAL_HOT std::vector<uint32_t>* ScratchArena::Acquire() {
     std::vector<uint32_t>* buffer = free_.back();
     free_.pop_back();
     buffer->clear();
-    ScratchHits().Add(1);
+    ++hits_;
     return buffer;
   }
   FRACTAL_HOT_ESCAPE("pool miss: the arena warms up to the DFS's peak "
                      "concurrent lease count, then every Acquire hits");
   AllocGuard::Allow allow("scratch arena pool growth");
-  ScratchMisses().Add(1);
+  ++misses_;
   owned_.push_back(std::make_unique<std::vector<uint32_t>>());
   // Keep free_ large enough for every buffer to come back at once, so the
   // matching Release (outside this Allow scope) never reallocates.

@@ -16,7 +16,10 @@
 //     assume a fresh allocation.
 //
 // Instrumentation: "enumerate.scratch_hits" counts pool reuses,
-// "enumerate.scratch_misses" counts acquisitions that allocated.
+// "enumerate.scratch_misses" counts acquisitions that allocated. The arena
+// tallies both in plain fields of its own and folds them into the registry
+// in FlushCounters (once per thread per step) and on destruction, so
+// Acquire writes only thread-owned memory (DESIGN.md §6).
 #ifndef FRACTAL_ENUMERATE_SCRATCH_ARENA_H_
 #define FRACTAL_ENUMERATE_SCRATCH_ARENA_H_
 
@@ -33,9 +36,14 @@ namespace fractal {
 class ScratchArena {
  public:
   ScratchArena() = default;
+  ~ScratchArena() { FlushCounters(); }
 
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;
+
+  /// Adds the hit/miss tallies to the shared registry counters and zeroes
+  /// them.
+  void FlushCounters();
 
   /// Returns an empty buffer (capacity preserved from prior use). The
   /// pointer stays valid until Release — buffers are node-allocated, so
@@ -121,6 +129,9 @@ class ScratchArena {
   std::vector<std::unique_ptr<std::vector<uint32_t>>> owned_;
   FRACTAL_ARENA_OUT std::vector<std::vector<uint32_t>*> free_;
   size_t live_ = 0;
+  // Acquisitions since the last FlushCounters, by pool hit or miss.
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
   StampedMap vertex_map_;
 };
 

@@ -18,6 +18,19 @@ obs::Counter& Galloped() {
   return counter;
 }
 
+/// Counts one kernel call, and whether it galloped, into the caller's tally.
+FRACTAL_HOT void CountCall(KernelCounts* counts, bool galloped) {
+  if (counts != nullptr) {
+    ++counts->calls;
+    counts->galloped += galloped ? 1 : 0;
+    return;
+  }
+  FRACTAL_HOT_ESCAPE("untallied callers (tests, benchmarks) are off the "
+                     "enumeration threads, which always pass a tally");
+  Intersections().Add(1);
+  if (galloped) Galloped().Add(1);
+}
+
 FRACTAL_HOT bool ShouldGallop(size_t smaller, size_t larger) {
   return larger >= kGallopMinLarger && larger / (smaller + 1) >= kGallopRatio;
 }
@@ -107,6 +120,13 @@ FRACTAL_HOT std::span<const uint32_t> Above(std::span<const uint32_t> s, uint32_
 
 }  // namespace
 
+void KernelCounts::Flush() {
+  if (calls != 0) Intersections().Add(calls);
+  if (galloped != 0) Galloped().Add(galloped);
+  calls = 0;
+  galloped = 0;
+}
+
 FRACTAL_HOT size_t GallopLowerBound(std::span<const uint32_t> haystack, size_t begin,
                         uint32_t needle) {
   if (begin >= haystack.size() || haystack[begin] >= needle) return begin;
@@ -124,12 +144,13 @@ FRACTAL_HOT size_t GallopLowerBound(std::span<const uint32_t> haystack, size_t b
 }
 
 FRACTAL_HOT void Intersect(std::span<const uint32_t> a, std::span<const uint32_t> b,
-               FRACTAL_ARENA_OUT std::vector<uint32_t>* out) {
-  Intersections().Add(1);
+               FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+               KernelCounts* counts) {
   if (a.size() > b.size()) std::swap(a, b);
   EnsureHeadroom(out, a.size());  // output is a subset of the smaller side
-  if (ShouldGallop(a.size(), b.size())) {
-    Galloped().Add(1);
+  const bool gallop = ShouldGallop(a.size(), b.size());
+  CountCall(counts, gallop);
+  if (gallop) {
     IntersectGallop(a, b, out);
   } else {
     IntersectMerge(a, b, out);
@@ -137,28 +158,31 @@ FRACTAL_HOT void Intersect(std::span<const uint32_t> a, std::span<const uint32_t
 }
 
 FRACTAL_HOT void IntersectAbove(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                    uint32_t bound, FRACTAL_ARENA_OUT std::vector<uint32_t>* out) {
-  Intersect(Above(a, bound), Above(b, bound), out);
+                    uint32_t bound, FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+                    KernelCounts* counts) {
+  Intersect(Above(a, bound), Above(b, bound), out, counts);
 }
 
 FRACTAL_HOT void Difference(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                FRACTAL_ARENA_OUT std::vector<uint32_t>* out) {
-  Intersections().Add(1);
+                FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+                KernelCounts* counts) {
   EnsureHeadroom(out, a.size());  // output is a subset of a
   if (ShouldGallop(a.size(), b.size())) {
-    Galloped().Add(1);
+    CountCall(counts, true);
     DifferenceGallopProbe(a, b, out);
   } else if (ShouldGallop(b.size(), a.size())) {
-    Galloped().Add(1);
+    CountCall(counts, true);
     DifferenceGallopCopy(a, b, out);
   } else {
+    CountCall(counts, false);
     DifferenceMerge(a, b, out);
   }
 }
 
 FRACTAL_HOT void DifferenceAbove(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                     uint32_t bound, FRACTAL_ARENA_OUT std::vector<uint32_t>* out) {
-  Difference(Above(a, bound), Above(b, bound), out);
+                     uint32_t bound, FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+                     KernelCounts* counts) {
+  Difference(Above(a, bound), Above(b, bound), out, counts);
 }
 
 FRACTAL_HOT void CopyAbove(std::span<const uint32_t> a, uint32_t bound,

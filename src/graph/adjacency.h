@@ -8,9 +8,11 @@
 // than the other, which is the common case deep in the DFS where the
 // candidate set has already shrunk but neighbor lists stay large.
 //
-// Instrumentation: every kernel call bumps "enumerate.intersections" and,
-// when the galloping path is chosen, "enumerate.galloped" (obs/metrics.h) —
-// one relaxed fetch_add per *call*, not per element.
+// Instrumentation: every kernel call counts one "enumerate.intersections"
+// and, when the galloping path is chosen, one "enumerate.galloped"
+// (obs/metrics.h) — per *call*, not per element. Enumeration threads pass
+// their own KernelCounts tally (plain increments, flushed once per step);
+// callers without one count straight into the shared counters.
 #ifndef FRACTAL_GRAPH_ADJACENCY_H_
 #define FRACTAL_GRAPH_ADJACENCY_H_
 
@@ -41,6 +43,18 @@ FRACTAL_HOT inline void EnsureHeadroom(
   }
 }
 
+/// Single-owner tally of kernel invocations: the plain twin of the
+/// "enumerate.intersections" / "enumerate.galloped" counters. Lives in the
+/// thread's ExtensionContext; a null tally makes a kernel count into the
+/// shared counters directly (tests, benchmarks, one-off callers).
+struct KernelCounts {
+  uint64_t calls = 0;
+  uint64_t galloped = 0;
+
+  /// Adds the tally to the shared counters and zeroes it.
+  void Flush();
+};
+
 /// Size ratio (larger/smaller) above which kernels switch from the linear
 /// merge to galloping, provided the larger side also clears
 /// kGallopMinLarger (probing overhead only pays off on long runs).
@@ -54,21 +68,26 @@ inline constexpr size_t kGallopMinLarger = 32;
 FRACTAL_HOT size_t GallopLowerBound(std::span<const uint32_t> haystack, size_t begin,
                         uint32_t needle);
 
-/// Appends {x : x in a, x in b} to out, ascending.
+/// Appends {x : x in a, x in b} to out, ascending. The call is counted in
+/// `counts` (or the shared counters when null).
 FRACTAL_HOT void Intersect(std::span<const uint32_t> a, std::span<const uint32_t> b,
-               FRACTAL_ARENA_OUT std::vector<uint32_t>* out);
+               FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+               KernelCounts* counts = nullptr);
 
 /// Appends {x : x in a, x in b, x > bound} to out, ascending.
 FRACTAL_HOT void IntersectAbove(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                    uint32_t bound, FRACTAL_ARENA_OUT std::vector<uint32_t>* out);
+                    uint32_t bound, FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+                    KernelCounts* counts = nullptr);
 
 /// Appends {x : x in a, x not in b} to out, ascending.
 FRACTAL_HOT void Difference(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                FRACTAL_ARENA_OUT std::vector<uint32_t>* out);
+                FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+                KernelCounts* counts = nullptr);
 
 /// Appends {x : x in a, x not in b, x > bound} to out, ascending.
 FRACTAL_HOT void DifferenceAbove(std::span<const uint32_t> a, std::span<const uint32_t> b,
-                     uint32_t bound, FRACTAL_ARENA_OUT std::vector<uint32_t>* out);
+                     uint32_t bound, FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+                     KernelCounts* counts = nullptr);
 
 /// Appends {x : x in a, x > bound} to out, ascending. Pure restriction —
 /// not counted as a kernel invocation.

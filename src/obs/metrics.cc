@@ -20,6 +20,19 @@ uint64_t Histogram::ApproxPercentile(double p) const {
   return BucketLowerBound(kNumBuckets - 1);
 }
 
+void LocalHistogram::FlushInto(Histogram& target) {
+  if (count_ == 0) return;
+  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+    if (buckets_[i] == 0) continue;
+    target.buckets_[i].fetch_add(buckets_[i], std::memory_order_relaxed);
+    buckets_[i] = 0;
+  }
+  target.count_.fetch_add(count_, std::memory_order_relaxed);
+  target.sum_.fetch_add(sum_, std::memory_order_relaxed);
+  count_ = 0;
+  sum_ = 0;
+}
+
 MetricsRegistry& MetricsRegistry::Get() {
   static MetricsRegistry* registry = new MetricsRegistry();  // leaked
   return *registry;

@@ -1,8 +1,11 @@
 // Process-wide metrics registry: named counters, gauges, and log-scale
 // (power-of-two) bucketed histograms, with a text and a JSON dump. Unlike
 // tracing (obs/trace.h), metrics are always on: handles are plain atomics
-// and one update costs a relaxed fetch_add — cheap enough for the runtime's
-// hot paths even on the work-unit counter.
+// and one update costs a relaxed fetch_add. That RMW lands on a cache line
+// every thread writes, so the DFS inner loop never touches these directly
+// (DESIGN.md §6): it counts into plain per-thread fields (LocalHistogram
+// below, ThreadStats, ExtensionContext) that are folded into the registry
+// once per thread per step, before the step barrier.
 //
 // Lookup is by name and locks the registry, so call sites cache the handle:
 //
@@ -92,9 +95,34 @@ class Histogram {
   uint64_t ApproxPercentile(double p) const;
 
  private:
+  friend class LocalHistogram;
+
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
+};
+
+/// Single-owner twin of Histogram with the same buckets: Record is three
+/// plain increments on the owner's own storage. Hot loops record here and
+/// fold the tally into a shared Histogram at a sync point (FlushInto).
+class LocalHistogram {
+ public:
+  void Record(uint64_t value) {
+    ++buckets_[Histogram::BucketIndex(value)];
+    ++count_;
+    sum_ += value;
+  }
+
+  uint64_t Count() const { return count_; }
+
+  /// Adds everything recorded since the last flush to `target` (one RMW
+  /// per non-empty bucket) and resets this tally to empty.
+  void FlushInto(Histogram& target);
+
+ private:
+  uint64_t buckets_[Histogram::kNumBuckets] = {};
+  uint64_t count_ = 0;
+  uint64_t sum_ = 0;
 };
 
 /// Name -> metric registry. Get* creates on first use; returned references
@@ -136,7 +164,9 @@ class MetricsRegistry {
 // Cumulative across steps and executions; the per-step barrier snapshot of
 // the same quantities is StepTelemetry (runtime/telemetry.h).
 
-/// Extensions consumed and processed ("runtime.work_units").
+/// Extensions consumed and processed ("runtime.work_units"), credited at
+/// each step barrier. The live mid-step view is the per-thread slots behind
+/// Worker::work_units.
 Counter& WorkUnitsCounter();
 /// Successful WS_int claims ("runtime.steals_internal").
 Counter& InternalStealsCounter();
@@ -179,13 +209,15 @@ Counter& StealTimeoutsCounter();
 /// ("bus.requests_dropped").
 Counter& DroppedRequestsCounter();
 /// Sorted-set kernel invocations (intersections and differences) in the
-/// enumeration data plane ("enumerate.intersections").
+/// enumeration data plane ("enumerate.intersections"). Enumeration threads
+/// count into ExtensionContext::kernels and flush at FinishThread.
 Counter& IntersectionKernelsCounter();
 /// Kernel invocations that took the galloping path instead of the linear
-/// merge ("enumerate.galloped").
+/// merge ("enumerate.galloped"); flushed like the above.
 Counter& GallopedKernelsCounter();
 /// ScratchArena buffer acquisitions served from the per-thread pool with no
-/// heap allocation ("enumerate.scratch_hits").
+/// heap allocation ("enumerate.scratch_hits"). Each arena tallies its own
+/// and flushes at FinishThread (and on destruction).
 Counter& ScratchHitsCounter();
 /// ScratchArena buffer acquisitions that had to allocate — should flatline
 /// once the DFS reaches steady state ("enumerate.scratch_misses").
@@ -236,7 +268,8 @@ Histogram& StealRttHistogram();
 Histogram& EncodeTimeHistogram();
 /// Stolen-work deserialization time in nanoseconds ("codec.decode_ns").
 Histogram& DecodeTimeHistogram();
-/// Extension batch size per enumerator refill ("enumerate.batch_size").
+/// Extension batch size per enumerator refill ("enumerate.batch_size"),
+/// recorded into ExtensionContext::batch_sizes and flushed at FinishThread.
 Histogram& ExtensionBatchHistogram();
 /// Steal-retry backoff sleeps in microseconds, one sample per retry
 /// ("bus.retry_backoff_us").

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -12,20 +13,36 @@
 namespace fractal {
 namespace obs {
 
+namespace {
+
+uint64_t Sum(const std::vector<uint64_t>& values) {
+  return std::accumulate(values.begin(), values.end(), uint64_t{0});
+}
+
+}  // namespace
+
 ProgressSampler::ProgressSampler(WorkerUnitsFn worker_units)
     : worker_units_(std::move(worker_units)) {
-  last_work_ = WorkUnitsCounter().Value();
   last_internal_ = InternalStealsCounter().Value();
   last_external_ = ExternalStealsCounter().Value();
   last_bytes_ = BytesShippedCounter().Value();
-  if (worker_units_) worker_units_(&last_worker_units_);
+  if (worker_units_) {
+    worker_units_(&last_worker_units_);
+    last_work_ = Sum(last_worker_units_);
+  } else {
+    last_work_ = WorkUnitsCounter().Value();
+  }
 }
 
 ProgressSnapshot ProgressSampler::Sample() {
   ProgressSnapshot snapshot;
   const double now_seconds = timer_.ElapsedSeconds();
   snapshot.interval_seconds = std::max(now_seconds - last_seconds_, 1e-9);
-  snapshot.work_units = WorkUnitsCounter().Value();
+  // The per-worker slots advance per work unit; "runtime.work_units" only
+  // at step barriers, so it is the fallback for samplers without a source.
+  if (worker_units_) worker_units_(&worker_units_now_);
+  snapshot.work_units =
+      worker_units_ ? Sum(worker_units_now_) : WorkUnitsCounter().Value();
   snapshot.work_units_delta = snapshot.work_units - last_work_;
   snapshot.units_per_sec = static_cast<uint64_t>(
       static_cast<double>(snapshot.work_units_delta) /
@@ -37,7 +54,6 @@ ProgressSnapshot ProgressSampler::Sample() {
   snapshot.external_steals_delta = external - last_external_;
   snapshot.bytes_shipped_delta = bytes - last_bytes_;
   if (worker_units_) {
-    worker_units_(&worker_units_now_);
     last_worker_units_.resize(worker_units_now_.size(), 0);
     snapshot.worker_units_delta.resize(worker_units_now_.size(), 0);
     for (size_t w = 0; w < worker_units_now_.size(); ++w) {

@@ -1,8 +1,11 @@
 // Mid-step progress reporting. A ProgressSampler turns the live runtime
-// counters (work units, steal counts, shipped bytes — obs/metrics.h) into
-// interval deltas and publishes them as gauges (`runtime.units_per_sec`,
-// per-worker `runtime.worker_units.<w>`) so every consumer — the periodic
-// log line, /statusz, tests — renders the same snapshot from one code path.
+// counters (work units, steal counts, shipped bytes) into interval deltas
+// and publishes them as gauges (`runtime.units_per_sec`, per-worker
+// `runtime.worker_units.<w>`) so every consumer — the periodic log line,
+// /statusz, tests — renders the same snapshot from one code path. Work
+// units come from the per-worker source (the execution threads' live slots,
+// runtime/worker.h): "runtime.work_units" itself is credited only at step
+// barriers, so it serves as the total only for samplers without a source.
 //
 // A StepProgressReporter owns one background thread that drives a sampler
 // every interval and logs the result, so a long fractal step shows signs of

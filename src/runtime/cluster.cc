@@ -370,10 +370,11 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   obs::StepActiveGauge().Set(1);
 
   {
-    // Mid-step progress logging: samples the global obs counters plus the
-    // per-worker unit counters (publishing both as gauges), so it needs no
-    // access to the (thread-owned) per-thread stats. Stopped (and joined)
-    // before the telemetry harvest below.
+    // Mid-step progress logging: samples the per-thread live unit slots
+    // (through Worker::work_units) and the global steal counters,
+    // publishing both as gauges, so it needs no access to the
+    // (thread-owned) per-thread stats. Stopped (and joined) before the
+    // telemetry harvest below.
     std::optional<obs::StepProgressReporter> progress;
     if (options_.progress_interval_ms > 0) {
       progress.emplace(options_.progress_interval_ms,
@@ -436,10 +437,11 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   step_.roots.clear();
   step_.lineage = nullptr;
   steps_run_.fetch_add(1, std::memory_order_relaxed);
-  // Extension tests are flushed into per-thread stats by FinishThread, so
-  // the cumulative counter is credited here at the barrier rather than in
-  // the hot loop.
+  // Work units and extension tests live in per-thread stats during the
+  // step, so the cumulative counters are credited here at the barrier
+  // rather than in the hot loop (the live view is Worker::work_units).
   obs::StepsCounter().Add(1);
+  obs::WorkUnitsCounter().Add(result.telemetry.TotalWorkUnits());
   obs::ExtensionTestsCounter().Add(result.telemetry.TotalExtensionTests());
   // Credit attained service to the query and free the step slot for the
   // next waiter. A cancelled step is still charged: its partial units were

@@ -187,6 +187,12 @@ class Cluster {
     return suspects_.load(std::memory_order_relaxed);
   }
 
+  /// Cumulative work units per worker (indexed by worker id) since
+  /// construction: the sum of each worker's per-thread live slots, so it
+  /// advances mid-step. Feeds the progress sampler and /statusz; the
+  /// obs::WorkerUnitsFn shape.
+  void SampleWorkerUnits(std::vector<uint64_t>* out) const;
+
   /// Bound port of the embedded exposition server, or -1 when
   /// ClusterOptions::statusz_port was < 0 (or the bind failed — the
   /// cluster still constructs; introspection is never load-bearing).
@@ -234,10 +240,6 @@ class Cluster {
     /// step runs without lineage tracking.
     LineageLedger* lineage = nullptr;
   };
-
-  /// Cumulative work units per worker, for the progress sampler and
-  /// /statusz (delegates to Worker::work_units).
-  void SampleWorkerUnits(std::vector<uint64_t>* out) const;
 
   /// One waiter at the admission gate. Lives on the RunStep caller's stack;
   /// registered in gate_waiters_ while waiting.

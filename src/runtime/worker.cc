@@ -26,10 +26,17 @@ Worker::Worker(Cluster* cluster, uint32_t worker_id)
     t->worker_id = worker_id_;
     t->local_core = core;
     t->core_id = worker_id_ * per_worker + core;
-    t->worker_units = &work_units_;
     t->jitter = SplitMix64(0x9e3779b9u ^ (uint64_t{t->core_id} << 17));
     threads_.push_back(std::move(t));
   }
+}
+
+uint64_t Worker::work_units() const {
+  uint64_t units = 0;
+  for (const auto& t : threads_) {
+    units += t->live_units.load(std::memory_order_relaxed);
+  }
+  return units;
 }
 
 void Worker::Start() {
@@ -141,7 +148,7 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
     t.busy_seconds += busy_timer.ElapsedSeconds();
   }
   t.stats.own_work_micros = control.timer.ElapsedMicros();
-  control.working.fetch_sub(1, std::memory_order_acq_rel);
+  control.LeaveWorking();
 
   // Steal loop: WS_int preferred over WS_ext (paper §4.2). Backoff scales
   // with the thread count: on an oversubscribed host, aggressive idle
@@ -165,7 +172,7 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
     // output is doomed, so idle threads stop stealing more of it.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
     if (control.working.load(std::memory_order_acquire) == 0) break;
-    control.working.fetch_add(1, std::memory_order_acq_rel);
+    control.EnterWorking();
     bool got = false;
     if (options.internal_work_stealing) got = ClaimInternalWork(t, &work);
     if (!got && external_enabled) got = ClaimExternalWork(t, &work);
@@ -175,7 +182,7 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
       task.ProcessStolen(t, work);
       t.busy_seconds += busy_timer.ElapsedSeconds();
     }
-    control.working.fetch_sub(1, std::memory_order_acq_rel);
+    control.LeaveWorking();
     if (got) {
       backoff_micros = 50;
     } else {
@@ -185,7 +192,12 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
       backoff_micros = std::min(backoff_micros * 2, max_backoff_micros);
     }
   }
-  task.FinishThread(t);
+  {
+    FRACTAL_HOT_ESCAPE("step end, once per thread per step: FinishThread "
+                       "folds the thread-owned tallies into the shared "
+                       "registry before the barrier");
+    task.FinishThread(t);
+  }
   t.stats.finish_micros = control.timer.ElapsedMicros();
   t.stats.busy_seconds = t.busy_seconds;
   t.lineage = nullptr;
@@ -203,6 +215,8 @@ FRACTAL_HOT bool Worker::ClaimInternalWork(ThreadContext& t,
       if (!frame.LooksNonEmpty()) continue;
       if (frame.TrySteal(out)) {
         ++t.stats.internal_steals;
+        FRACTAL_HOT_ESCAPE("once per successful steal, not per work unit: "
+                           "keeps the steal rate live for the sampler");
         obs::InternalStealsCounter().Add(1);
         if (t.lineage != nullptr) {
           FRACTAL_HOT_ESCAPE("lineage stamping: once per steal, not per "

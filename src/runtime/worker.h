@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "enumerate/enumerator.h"
-#include "obs/metrics.h"
 #include "runtime/fault.h"
 #include "runtime/telemetry.h"
 #include "util/hot_annotations.h"
@@ -41,16 +40,22 @@ namespace fractal {
 class Cluster;
 class LineageLedger;
 
+/// Cache-line size the runtime pads thread-owned hot state to.
+inline constexpr size_t kCacheLineBytes = 64;
+
 /// Shared state of one running step. Owned by the Cluster and reset before
 /// each step. Fault hooks route through `injector` (runtime/fault.h); the
 /// null check is the entire disabled-path cost on the work-unit hot path.
 struct StepControl {
-  std::atomic<uint64_t> working{0};  // threads still producing work
+  /// Threads still producing work. Idle threads RMW it on every steal
+  /// attempt, so it gets a cache line of its own: the read-only fields below
+  /// are loaded once per work unit by every busy thread.
+  alignas(kCacheLineBytes) std::atomic<uint64_t> working{0};
   /// Fault hooks of the step; null => faults disabled. Raw pointer is safe
   /// here: execution threads only touch it between the step-generation
   /// bump and the barrier, strictly inside RunStep (the bus keeps a
   /// shared_ptr for its unbounded service-thread tail).
-  FaultInjector* injector = nullptr;
+  alignas(kCacheLineBytes) FaultInjector* injector = nullptr;
   /// Cancel flag of the step's query (QueryControl::cancel_requested), or
   /// null when the step runs without a query. Polled once per work unit —
   /// one relaxed load, the same hot-path budget as the injector check.
@@ -58,6 +63,20 @@ struct StepControl {
   /// RunStep, whose caller owns the QueryControl.
   const std::atomic<bool>* cancel = nullptr;
   WallTimer timer;  // restarted at step start; telemetry timestamps
+
+  /// Termination protocol of the steal loop: a thread holds a `working`
+  /// reference while it may still produce work, and the step is over once
+  /// the count reaches zero. Shared by every thread of the step by design.
+  FRACTAL_HOT void EnterWorking() {
+    FRACTAL_HOT_ESCAPE("steal-loop termination count: once per steal "
+                       "attempt, never per work unit");
+    working.fetch_add(1, std::memory_order_acq_rel);
+  }
+  FRACTAL_HOT void LeaveWorking() {
+    FRACTAL_HOT_ESCAPE("steal-loop termination count: once per steal "
+                       "attempt, never per work unit");
+    working.fetch_sub(1, std::memory_order_acq_rel);
+  }
 };
 
 /// Per-victim responsiveness tracking for WS_ext (one slot per victim,
@@ -74,6 +93,12 @@ struct VictimHealth {
 /// extension level) live here because the stealing hierarchy scans them;
 /// everything application-specific stays inside the StepTask, keyed by
 /// `core_id`.
+///
+/// Hot-path rule (DESIGN.md §6): the work-unit loop writes only lines this
+/// thread owns. `stats` starts a cache line of its own (sibling thieves
+/// read `frames` above it), and the live unit count sits alone on the last
+/// line; the cluster reads both, the slot mid-step and the stats at the
+/// barrier.
 struct ThreadContext {
   uint32_t worker_id = 0;
   uint32_t core_id = 0;     // global thread id
@@ -84,7 +109,7 @@ struct ThreadContext {
 
   /// Telemetry of the current step; reset at step start, harvested by the
   /// cluster at the step barrier.
-  ThreadStats stats;
+  alignas(kCacheLineBytes) ThreadStats stats;
 
   /// Busy-time accumulator: only time spent draining frames or processing
   /// stolen work counts (idle backoff sleeps do not).
@@ -92,11 +117,6 @@ struct ThreadContext {
 
   /// Valid for the duration of a step.
   StepControl* control = nullptr;
-
-  /// Owning worker's cumulative work-unit counter (Worker::work_units_),
-  /// bumped alongside the process-wide counter so the progress sampler and
-  /// /statusz can attribute throughput per worker. Set once at construction.
-  std::atomic<uint64_t>* worker_units = nullptr;
 
   /// Deterministic per-thread stream for steal-retry backoff jitter.
   SplitMix64 jitter{0};
@@ -112,10 +132,15 @@ struct ThreadContext {
   /// accumulators), while the surviving workers drain their own frames to
   /// the barrier — the step is then re-executed from scratch. With no
   /// injector armed the hook costs a single predictable-branch load.
+  ///
+  /// The count goes to thread-owned memory only: `stats` (credited to
+  /// "runtime.work_units" at the step barrier) and the live slot, which is
+  /// advanced by a relaxed load and store rather than an RMW since this
+  /// thread is its only writer.
   FRACTAL_HOT bool ConsumeWorkUnit() {
     ++stats.work_units;
-    obs::WorkUnitsCounter().Add(1);
-    worker_units->fetch_add(1, std::memory_order_relaxed);
+    live_units.store(live_units.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
     // Cooperative cancellation (DESIGN.md §12): a false return unwinds the
     // enumeration exactly like a crash — frames deactivate on the way out
     // and the thread reaches the step barrier within one work unit.
@@ -125,8 +150,16 @@ struct ThreadContext {
     }
     FaultInjector* injector = control->injector;
     if (injector == nullptr) return true;
+    FRACTAL_HOT_ESCAPE("fault hooks run only under a FaultPlan; their "
+                       "trigger counters are shared by design");
     return injector->OnWorkUnit(worker_id);
   }
+
+  /// Work units this thread consumed across all steps: the live, mid-step
+  /// view behind Worker::work_units (progress sampler, /statusz,
+  /// runtime.worker_units.<w>). Written only by ConsumeWorkUnit on this
+  /// thread; on a cache line of its own so samplers never slow the writer.
+  alignas(kCacheLineBytes) std::atomic<uint64_t> live_units{0};
 };
 
 /// What one fractal step does with the work the runtime hands it. The core
@@ -172,11 +205,10 @@ class Worker {
     return static_cast<uint32_t>(threads_.size());
   }
 
-  /// Work units consumed by this worker across all steps (live, sampleable
-  /// mid-step; the per-worker analogue of obs::WorkUnitsCounter).
-  uint64_t work_units() const {
-    return work_units_.load(std::memory_order_relaxed);
-  }
+  /// Work units consumed by this worker across all steps: the sum of its
+  /// threads' live slots, so it advances mid-step (the per-worker analogue
+  /// of obs::WorkUnitsCounter, which is credited only at step barriers).
+  uint64_t work_units() const;
 
  private:
   friend class Cluster;
@@ -216,8 +248,6 @@ class Worker {
 
   Cluster* cluster_;
   uint32_t worker_id_;
-  /// Cumulative work units over this worker's threads (see work_units()).
-  std::atomic<uint64_t> work_units_{0};
   /// One slot per potential victim (indexed by worker id).
   std::vector<VictimHealth> victim_health_;
   std::vector<std::unique_ptr<ThreadContext>> threads_;

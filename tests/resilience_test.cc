@@ -290,16 +290,32 @@ TEST(RecoveryTest, DegradedReexecutionRunsOnSurvivors) {
   const uint64_t expected =
       graph.VFractoid().Expand(3).CountSubgraphs(healthy);
 
+  // WS_ext off: no other worker can take worker 2's root partition, so
+  // worker 2 consumes every unit of it itself and the work-unit crash
+  // trigger below fires however fast the other workers finish and steal.
   ClusterOptions options;
   options.num_workers = 3;
   options.threads_per_worker = 2;
-  options.external_work_stealing = true;
+  options.external_work_stealing = false;
   options.network.latency_micros = 1;
   Cluster cluster(options);
 
+  // The trigger must lie inside worker 2's own share of the step.
+  ExecutionConfig clean;
+  clean.cluster = &cluster;
+  const ExecutionResult clean_run = graph.VFractoid().Expand(3).Execute(clean);
+  ASSERT_TRUE(clean_run.status.ok()) << clean_run.status;
+  ASSERT_EQ(clean_run.telemetry.steps.size(), 1u);
+  uint64_t worker2_units = 0;
+  for (const ThreadStats& t : clean_run.telemetry.steps[0].threads) {
+    if (t.worker_id == 2) worker2_units += t.work_units;
+  }
+  constexpr uint64_t kCrashAfter = 30;
+  ASSERT_GE(worker2_units, kCrashAfter);
+
   ExecutionConfig faulty;
   faulty.cluster = &cluster;
-  faulty.fault_plan = FaultPlan().CrashWorker(2, 30);
+  faulty.fault_plan = FaultPlan().CrashWorker(2, kCrashAfter);
   const uint64_t degraded_before = obs::StepsDegradedCounter().Value();
   const ExecutionResult result = graph.VFractoid().Expand(3).Execute(faulty);
   ASSERT_TRUE(result.status.ok()) << result.status;
@@ -365,7 +381,12 @@ void ExpectSameMotifs(const MotifsResult& actual,
 TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
   FractalContext fctx;
   FractalGraph graph = TestGraph(fctx);
-  const ExecutionConfig healthy = TwoWorkers();
+  // WS_ext off in every run: worker 1's two threads only steal from each
+  // other, so worker 1 consumes exactly the units of its own root partition.
+  // The clean run's count is then what worker 1 reaches in the faulty runs
+  // too, and the halfway crash fires deterministically.
+  ExecutionConfig healthy = TwoWorkers();
+  healthy.external_work_stealing = false;
   const MotifsResult clean = CountMotifs(graph, 3, healthy);
   ASSERT_TRUE(clean.execution.status.ok()) << clean.execution.status;
   ASSERT_EQ(clean.execution.telemetry.steps.size(), 1u);
@@ -379,7 +400,7 @@ TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
 
   // From-scratch recovery: the successful attempt re-enumerates the whole
   // step on the survivor.
-  ExecutionConfig scratch = TwoWorkers();
+  ExecutionConfig scratch = healthy;
   scratch.fault_plan = FaultPlan().CrashWorker(1, crash_after);
   const MotifsResult scratch_run = CountMotifs(graph, 3, scratch);
   ASSERT_TRUE(scratch_run.execution.status.ok())
@@ -394,7 +415,7 @@ TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
 
   // Salvage recovery: same crash, but only the tasks worker 1 left
   // unfinished are re-enumerated on the survivor.
-  ExecutionConfig salvage = TwoWorkers();
+  ExecutionConfig salvage = healthy;
   salvage.fault_plan = FaultPlan().CrashWorker(1, crash_after);
   salvage.retry.mode = RetryPolicy::Mode::kSalvage;
   const MotifsResult salvaged = CountMotifs(graph, 3, salvage);

@@ -11,6 +11,13 @@ hot_annotations.h) and reports, for everything reachable:
   throw                 throw statements
   unannotated-external  a call to a free function with no in-repo definition
                         and no whitelist entry
+  shared-rmw            an atomic read-modify-write (fetch_*, exchange,
+                        compare_exchange_*) or an update of a shared
+                        registry metric (obs::Counter::Add,
+                        obs::Histogram::Record): the hot path writes only
+                        cache lines its own thread owns (DESIGN.md §6), so
+                        per-unit tallies go to plain per-thread fields and
+                        reach the registry at the step barrier
 
 plus two repo-hygiene rules checked everywhere (not just on hot paths):
 
@@ -143,8 +150,30 @@ TRACE_USE_RE = re.compile(
     r'\bFRACTAL_TRACE_(?:SPAN_V|SPAN|INSTANT)\s*\(\s*"([^"]+)"')
 ENDPOINT_USE_RE = re.compile(r'\bAddEndpoint\s*\(\s*"([^"]+)"')
 
+# shared-rmw: atomic member RMWs. Any of these on a hot path is a write to
+# a line other threads write too (a thread-owned atomic needs no RMW: a
+# relaxed load and store publish it).
+ATOMIC_RMW_METHODS = {
+    "fetch_add", "fetch_sub", "fetch_and", "fetch_or", "fetch_xor",
+    "exchange", "compare_exchange_weak", "compare_exchange_strong",
+}
+# shared-rmw: update methods of the shared registry metrics, flagged when
+# the receiver is a registry handle (see Repo.shared_metric_handles).
+SHARED_METRIC_METHODS = {"Add", "Record"}
+# Functions returning a registry handle: `obs::Counter& Name(` or
+# `Histogram& Name(` (declarations and definitions, possibly qualified).
+METRIC_HANDLE_FN_RE = re.compile(
+    r"\b(?:Counter|Histogram)\s*&\s*(?:\w+\s*::\s*)*(\w+)\s*\(")
+# Locals bound to a registry handle: `obs::Counter& name =`.
+METRIC_HANDLE_LOCAL_RE = re.compile(
+    r"\b(?:Counter|Histogram)\s*&\s*(\w+)\s*=")
+# The metric classes themselves: their bodies are the shared RMWs, judged at
+# each call site instead (a name-resolved walk would otherwise land in
+# Histogram::Record from a LocalHistogram::Record call).
+SHARED_RMW_PRIMITIVE_FILES = {"src/obs/metrics.h"}
+
 RULES = ("allocation", "stl-growth", "throw", "unannotated-external",
-         "raw-mutex", "metric-name")
+         "shared-rmw", "raw-mutex", "metric-name")
 
 
 class Finding:
@@ -353,6 +382,29 @@ class FunctionDef:
             calls.append((m.start(), name, is_member))
         return calls
 
+    def receiver_call_name(self, call_pos):
+        """For a member call on a call result (`Fn(...).method(`), the name
+        of `Fn`; None otherwise."""
+        before = self.body[:call_pos].rstrip()
+        if before.endswith("->"):
+            before = before[:-2].rstrip()
+        elif before.endswith("."):
+            before = before[:-1].rstrip()
+        else:
+            return None
+        if not before.endswith(")"):
+            return None
+        depth = 0
+        for i in range(len(before) - 1, -1, -1):
+            if before[i] == ")":
+                depth += 1
+            elif before[i] == "(":
+                depth -= 1
+                if depth == 0:
+                    m = re.search(r"(\w+)\s*$", before[:i])
+                    return m.group(1) if m else None
+        return None
+
     def receiver_of(self, call_pos):
         """Immediate receiver identifier of a member call at call_pos, or
         None when the receiver is an expression (then treated non-arena
@@ -516,6 +568,11 @@ class Repo:
         for f in self.functions:
             self.defs_by_name.setdefault(f.name, []).append(f)
         self.reached_from = {}
+        # Names of functions that hand out shared registry metric handles.
+        self.shared_metric_handles = set()
+        for code in self.code.values():
+            self.shared_metric_handles.update(
+                m.group(1) for m in METRIC_HANDLE_FN_RE.finditer(code))
 
     # -- hot-path walk -----------------------------------------------------
 
@@ -617,7 +674,37 @@ class Repo:
                    "(in '%s'); lease it from the ScratchArena, annotate it "
                    "FRACTAL_ARENA_OUT, or audit with FRACTAL_HOT_ESCAPE"
                    % (recv or "<expr>", name, func.qualname))
+        self.scan_shared_rmw(func, report)
         return findings
+
+    def scan_shared_rmw(self, func, report):
+        """shared-rmw: atomic RMWs and shared registry-metric updates."""
+        if func.path in SHARED_RMW_PRIMITIVE_FILES:
+            return
+        handle_locals = set(
+            m.group(1) for m in METRIC_HANDLE_LOCAL_RE.finditer(func.body))
+        for pos, name, is_member in func.calls:
+            if not is_member or func.is_suppressed(pos):
+                continue
+            if name in ATOMIC_RMW_METHODS:
+                report(pos, "shared-rmw",
+                       "atomic '%s' reachable from a FRACTAL_HOT root (in "
+                       "'%s'); count into a thread-owned field and publish "
+                       "with a relaxed store, or audit the claim protocol "
+                       "with FRACTAL_HOT_ESCAPE" % (name, func.qualname))
+            elif name in SHARED_METRIC_METHODS:
+                recv = func.receiver_call_name(pos)
+                if recv in self.shared_metric_handles:
+                    recv += "()"
+                else:
+                    recv = func.receiver_of(pos)
+                    if recv not in handle_locals:
+                        continue
+                report(pos, "shared-rmw",
+                       "shared metric update '%s.%s(...)' reachable from a "
+                       "FRACTAL_HOT root (in '%s'); tally in a per-thread "
+                       "field and flush at FinishThread, or audit with "
+                       "FRACTAL_HOT_ESCAPE" % (recv, name, func.qualname))
 
     # -- repo-hygiene rules ------------------------------------------------
 
