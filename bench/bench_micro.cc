@@ -7,12 +7,12 @@
 #include "core/context.h"
 #include "enumerate/enumerator.h"
 #include "enumerate/extension.h"
-#include "enumerate/reference_extension.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
 #include "pattern/canonical.h"
 #include "runtime/cluster.h"
 #include "runtime/codec.h"
+#include "tests/reference_extension.h"
 #include "util/check.h"
 
 namespace fractal {
@@ -297,12 +297,7 @@ void BM_StepDispatchPersistentCluster(benchmark::State& state) {
   FractalContext fctx;
   FractalGraph graph = fctx.FromGraph(testgraphs::Star(6));
   ExecutionConfig config = DispatchConfig();
-  ClusterOptions options;
-  options.num_workers = config.num_workers;
-  options.threads_per_worker = config.threads_per_worker;
-  options.external_work_stealing = true;
-  options.network = config.network;
-  Cluster cluster(options);
+  Cluster cluster(ToClusterOptions(config));
   config.cluster = &cluster;
   for (auto _ : state) {
     RunMultiStepWorkflow(graph, config);

@@ -9,7 +9,9 @@
 #      exported Chrome trace is schema-checked by tools/check_trace.py, a
 #      CLI run whose Prometheus /metricsz dump is format-checked by
 #      tools/check_metricsz.py and whose sampling-profiler collapsed-stack
-#      export must be non-empty. Finally a perf smoke runs the
+#      export must be non-empty, and a straggler CLI run with --progress-ms
+#      whose stderr must carry the barrier wait's `step progress:` lines.
+#      Finally a perf smoke runs the
 #      extension-kernel A/B microbenchmarks (kernels vs. reference scans)
 #      into BENCH_extension.json and gates it against the committed
 #      baseline with tools/bench_compare.py.
@@ -25,7 +27,8 @@
 #      --concurrency: three concurrent triangle queries on one shared
 #      cluster whose /metricsz dump must contain the scheduler counter
 #      families and the per-query units gauges
-#      (tools/check_metricsz.py --require).
+#      (tools/check_metricsz.py --require), and a --deadline-ms run without
+#      --concurrency, which runs as one scheduled query and must finish OK.
 #   4. Salvage gate (DESIGN.md §11): the lineage-ledger partial-recovery
 #      suite — deterministic salvage tests plus a CHAOS_SEEDS-wide
 #      SalvageChaosTest sweep (random fault plans, including
@@ -119,6 +122,14 @@ else
   echo "python3 not installed; structural metricsz validation skipped"
 fi
 
+echo "=== progress: the barrier wait logs step progress mid-step ==="
+# A straggler plan stretches the step over many 5 ms intervals; the driver's
+# barrier wait is the step's only clock and must log from inside the step.
+PROGRESS_LOG="build-ci/progress_stderr.txt"
+./build-ci/examples/fractal_cli --kernel triangles --workers 2 --threads 2 \
+  --progress-ms 5 --fault-spec 'slow:w=0,us=200' 2>"$PROGRESS_LOG" >/dev/null
+grep -q 'step progress:' "$PROGRESS_LOG"
+
 echo "=== perf smoke: extension kernels vs. reference scans ==="
 # A/B microbenchmark of the set-algebra extension kernels against the
 # pre-refactor reference scans (bench/bench_micro.cc, dense-graph pairs).
@@ -168,6 +179,12 @@ else
   grep -q 'fractal_runtime_queries_admitted_total' "$SCHED_METRICSZ"
   echo "python3 not installed; structural scheduler-metrics check only"
 fi
+# A deadline without --concurrency is one scheduled query (there is no
+# separate synchronous deadline path).
+DEADLINE_OUT="$(./build-ci/examples/fractal_cli --kernel triangles \
+  --deadline-ms 60000)"
+echo "$DEADLINE_OUT"
+grep -q 'status=OK' <<<"$DEADLINE_OUT"
 
 echo "=== salvage: lineage-ledger partial recovery stays bit-exact ==="
 # Deterministic salvage tests (acceptance bound, nested crash-in-salvage,

@@ -9,6 +9,7 @@
 // --graph expects the adjacency-list format (see graph/graph_io.h);
 // --edgelist expects SNAP-style "u v" lines. Without either, a synthetic
 // demo graph is generated.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -55,8 +56,8 @@ void Usage() {
       "concurrent queries (DESIGN.md section 12):\n"
       "  --concurrency runs n copies of the kernel as concurrent queries on\n"
       "  one shared cluster (triangles, cliques and query kernels only);\n"
-      "  --deadline-ms bounds each query's wall time, alone (synchronous\n"
-      "  deadline-aware run) or per query under --concurrency.\n"
+      "  --deadline-ms bounds each query's wall time; without --concurrency\n"
+      "  the kernel runs as one scheduled query.\n"
       "\n"
       "fault injection (see runtime/fault.h):\n"
       "  --fault-spec takes ';'-separated entries, e.g.\n"
@@ -259,76 +260,54 @@ int main(int argc, char** argv) {
       if (kernel == "query") return QueryFractoid(graph, query_pattern);
       return CliquesFractoid(graph, 3);  // triangles
     };
-    if (concurrency <= 0) {
-      // Deadline only: synchronous run with a stack-owned control block.
-      QueryControl control;
-      control.name = kernel;
-      control.SetDeadlineAfterMillis(deadline_ms);
-      ExecutionConfig bounded = config;
-      bounded.query = &control;
-      const ExecutionResult result = build().Execute(bounded);
-      std::printf("%s: status=%s subgraphs=%llu units=%llu\n", kernel.c_str(),
-                  result.status.ok() ? "OK" : result.status.ToString().c_str(),
-                  (unsigned long long)result.num_subgraphs,
-                  (unsigned long long)control.work_units.load());
-      if (!result.status.ok()) return 1;
-    } else {
-      ClusterOptions cluster_options;
-      cluster_options.num_workers = config.num_workers;
-      cluster_options.threads_per_worker = config.threads_per_worker;
-      cluster_options.internal_work_stealing = config.internal_work_stealing;
-      cluster_options.external_work_stealing =
-          config.external_work_stealing && config.num_workers >= 2;
-      cluster_options.network = config.network;
-      cluster_options.progress_interval_ms = config.progress_interval_ms;
-      cluster_options.statusz_port = config.statusz_port;
-      Cluster cluster(cluster_options);
-      QuerySchedulerOptions scheduler_options;
-      scheduler_options.max_active = static_cast<uint32_t>(concurrency);
-      scheduler_options.max_queued = static_cast<uint32_t>(2 * concurrency);
-      QueryScheduler scheduler(&cluster, scheduler_options);
+    // A deadline without --concurrency is one scheduled query.
+    const int queries = std::max(concurrency, 1);
+    Cluster cluster(ToClusterOptions(config));
+    QuerySchedulerOptions scheduler_options;
+    scheduler_options.max_active = static_cast<uint32_t>(queries);
+    scheduler_options.max_queued = static_cast<uint32_t>(2 * queries);
+    QueryScheduler scheduler(&cluster, scheduler_options);
 
-      std::vector<Fractoid> fractoids;
-      fractoids.reserve(static_cast<size_t>(concurrency));
-      for (int q = 0; q < concurrency; ++q) fractoids.push_back(build());
-      std::vector<QueryHandle> handles;
-      for (int q = 0; q < concurrency; ++q) {
-        QueryScheduler::Submission submission;
-        submission.name = kernel + "-" + std::to_string(q);
-        submission.deadline_ms = deadline_ms;
-        auto handle =
-            ExecuteFractoidAsync(fractoids[q], config, scheduler,
-                                 std::move(submission));
-        if (!handle.ok()) {
-          std::fprintf(stderr, "submit %d: %s\n", q,
-                       handle.status().ToString().c_str());
-          return 1;
-        }
-        handles.push_back(*std::move(handle));
+    std::vector<Fractoid> fractoids;
+    fractoids.reserve(static_cast<size_t>(queries));
+    for (int q = 0; q < queries; ++q) fractoids.push_back(build());
+    std::vector<QueryHandle> handles;
+    for (int q = 0; q < queries; ++q) {
+      QueryScheduler::Submission submission;
+      submission.name = kernel + "-" + std::to_string(q);
+      submission.deadline_ms = deadline_ms;
+      auto handle =
+          ExecuteFractoidAsync(fractoids[q], config, scheduler,
+                               std::move(submission));
+      if (!handle.ok()) {
+        std::fprintf(stderr, "submit %d: %s\n", q,
+                     handle.status().ToString().c_str());
+        return 1;
       }
-      bool all_ok = true;
-      for (QueryHandle& handle : handles) {
-        const ExecutionResult& result = handle.Wait();
-        const std::string status_text =
-            result.status.ok() ? "OK" : result.status.ToString();
-        std::printf("%-14s status=%-8s subgraphs=%llu steps=%llu "
-                    "units=%llu\n",
-                    handle.name().c_str(), status_text.c_str(),
-                    (unsigned long long)result.num_subgraphs,
-                    (unsigned long long)handle.control().steps_run.load(),
-                    (unsigned long long)handle.control().work_units.load());
-        all_ok = all_ok && result.status.ok();
-      }
-      const QueryScheduler::Stats stats = scheduler.stats();
-      std::printf("scheduler: admitted=%llu completed=%llu cancelled=%llu "
-                  "deadline_exceeded=%llu rejected=%llu\n",
-                  (unsigned long long)stats.admitted,
-                  (unsigned long long)stats.completed,
-                  (unsigned long long)stats.cancelled,
-                  (unsigned long long)stats.deadline_exceeded,
-                  (unsigned long long)stats.rejected);
-      if (!all_ok) return 1;
+      handles.push_back(*std::move(handle));
     }
+    bool all_ok = true;
+    for (QueryHandle& handle : handles) {
+      const ExecutionResult& result = handle.Wait();
+      const std::string status_text =
+          result.status.ok() ? "OK" : result.status.ToString();
+      std::printf("%-14s status=%-8s subgraphs=%llu steps=%llu "
+                  "units=%llu\n",
+                  handle.name().c_str(), status_text.c_str(),
+                  (unsigned long long)result.num_subgraphs,
+                  (unsigned long long)handle.control().steps_run.load(),
+                  (unsigned long long)handle.control().work_units.load());
+      all_ok = all_ok && result.status.ok();
+    }
+    const QueryScheduler::Stats stats = scheduler.stats();
+    std::printf("scheduler: admitted=%llu completed=%llu cancelled=%llu "
+                "deadline_exceeded=%llu rejected=%llu\n",
+                (unsigned long long)stats.admitted,
+                (unsigned long long)stats.completed,
+                (unsigned long long)stats.cancelled,
+                (unsigned long long)stats.deadline_exceeded,
+                (unsigned long long)stats.rejected);
+    if (!all_ok) return 1;
   } else if (kernel == "triangles") {
     std::printf("triangles: %llu\n",
                 (unsigned long long)CountTriangles(graph, config));

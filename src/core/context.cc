@@ -18,7 +18,6 @@ FractalGraph FractalContext::FromGraph(Graph graph) const {
 }
 
 Fractoid FractalGraph::VFractoid() const {
-  // Factory honors FRACTAL_REFERENCE_EXTENSIONS (A/B escape hatch).
   return Fractoid(graph_, MakeVertexInducedStrategy());
 }
 

@@ -16,7 +16,6 @@
 #include "enumerate/subgraph.h"
 #include "runtime/fault.h"
 #include "runtime/message_bus.h"
-#include "runtime/query.h"
 #include "runtime/telemetry.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -105,16 +104,6 @@ struct ExecutionConfig {
   /// (paper §4.1: W4 aggregation results are never recomputed).
   bool reuse_cached_aggregations = true;
 
-  /// Query control block of this execution (multi-tenant scheduling,
-  /// DESIGN.md §12; not owned, may be null). When set, the executor checks
-  /// cancellation/deadline at every step boundary, worker threads poll the
-  /// cancel flag once per work unit, and an unwound execution resolves to
-  /// kCancelled / kDeadlineExceeded in ExecutionResult::status. Wired
-  /// automatically by ExecuteFractoidAsync; synchronous callers may point
-  /// it at a stack-owned QueryControl to get a deadline without a
-  /// scheduler. Must outlive the execution.
-  QueryControl* query = nullptr;
-
   /// Fault injection for resilience testing (runtime/fault.h): a seeded,
   /// deterministic schedule of worker crashes, steal-service deaths,
   /// message drops/delays, and stragglers. The from-scratch execution
@@ -127,14 +116,13 @@ struct ExecutionConfig {
 
   uint32_t TotalThreads() const { return num_workers * threads_per_worker; }
 
-  /// Checks the configuration before any thread is spawned: at least one
-  /// worker and one thread per worker, the fault plan must target existing
-  /// workers, and the retry policy must allow at least one attempt. Called
-  /// at execution entry so misconfiguration fails fast with a message
-  /// instead of crashing mid-step. External work stealing with a single
-  /// worker is not an error here — it is normalized off (WS_ext needs a
-  /// second worker; an explicit single-worker external-stealing Cluster is
-  /// rejected by Cluster::Validate).
+  /// Checks the configuration before any thread is spawned: without an
+  /// injected cluster, the shape ToClusterOptions maps it to must pass
+  /// Cluster::Validate; the fault plan must target existing workers, and
+  /// the retry policy must allow at least one attempt. Called at execution
+  /// entry so misconfiguration fails fast with a message instead of
+  /// crashing mid-step. External work stealing with a single worker is not
+  /// an error here — ToClusterOptions normalizes it off.
   [[nodiscard]] Status Validate() const;
 };
 

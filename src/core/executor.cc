@@ -28,11 +28,7 @@
 #include "util/timer.h"
 
 namespace fractal {
-namespace {
 
-/// Maps an execution configuration onto a cluster shape. WS_ext needs at
-/// least two workers to have a victim, so the flag is normalized off for
-/// single-worker configs (the seed executor did the same silently).
 ClusterOptions ToClusterOptions(const ExecutionConfig& config) {
   ClusterOptions options;
   options.num_workers = config.num_workers;
@@ -46,6 +42,8 @@ ClusterOptions ToClusterOptions(const ExecutionConfig& config) {
   return options;
 }
 
+namespace {
+
 /// All-workers mask for the cluster shape. Cluster::live_mask() keeps bits
 /// above num_workers set, so consumers mask with this before popcounting or
 /// handing the mask to the lineage ledger.
@@ -58,15 +56,7 @@ uint64_t FullMask(uint32_t num_workers) {
 
 Status ExecutionConfig::Validate() const {
   if (cluster == nullptr) {
-    if (num_workers == 0) {
-      return InvalidArgumentError("num_workers must be at least 1");
-    }
-    if (threads_per_worker == 0) {
-      return InvalidArgumentError("threads_per_worker must be at least 1");
-    }
-    if (num_workers > 64) {
-      return InvalidArgumentError("num_workers must be at most 64");
-    }
+    FRACTAL_RETURN_IF_ERROR(Cluster::Validate(ToClusterOptions(*this)));
   }
   const uint32_t effective_workers =
       cluster != nullptr ? cluster->options().num_workers : num_workers;
@@ -94,14 +84,14 @@ Status CheckAggregationCapacity(const Fractoid& fractoid) {
   return Status::Ok();
 }
 
-ExecutionResult ExecuteFractoid(const Fractoid& fractoid,
-                                const ExecutionConfig& config) {
-  return ExecuteFractoidStreaming(fractoid, config, nullptr);
-}
+namespace {
 
-ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
-                                         const ExecutionConfig& config,
-                                         const SubgraphSink& sink) {
+/// The one execution body. Every step it submits belongs to `query`: the
+/// scheduler's control block for ExecuteFractoidAsync, or the synchronous
+/// entry points' own id-0 control.
+ExecutionResult RunFractoid(const Fractoid& fractoid,
+                            const ExecutionConfig& config,
+                            const SubgraphSink& sink, QueryControl& query) {
   const Status config_status = config.Validate();
   FRACTAL_CHECK(config_status.ok()) << config_status;
   FRACTAL_TRACE_SPAN("executor/execute");
@@ -127,21 +117,19 @@ ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
 
   // Multi-tenant controls (DESIGN.md §12): checked at every step boundary
   // here, and once per work unit inside the step by the worker threads.
-  QueryControl* const query = config.query;
-  if (query != nullptr) FRACTAL_TRACE_INSTANT("executor/query", query->id);
-  const auto query_status = [query]() -> Status {
-    return query->DeadlineHit()
+  FRACTAL_TRACE_INSTANT("executor/query", query.id);
+  const auto query_status = [&query]() -> Status {
+    return query.DeadlineHit()
                ? DeadlineExceededError(StrFormat(
                      "query %llu '%s' exceeded its deadline",
-                     (unsigned long long)query->id, query->name.c_str()))
+                     (unsigned long long)query.id, query.name.c_str()))
                : CancelledError(StrFormat(
                      "query %llu '%s' cancelled",
-                     (unsigned long long)query->id, query->name.c_str()));
+                     (unsigned long long)query.id, query.name.c_str()));
   };
-  const auto query_aborted = [query]() {
-    if (query == nullptr) return false;
-    query->CheckDeadline(std::chrono::steady_clock::now());
-    return query->cancelled();
+  const auto query_aborted = [&query]() {
+    query.CheckDeadline(std::chrono::steady_clock::now());
+    return query.cancelled();
   };
   if (query_aborted()) {
     result.status = query_status();
@@ -288,9 +276,9 @@ ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
       step_options.num_levels = task->num_levels();
       step_options.fault_injector = injector;
       step_options.lineage = ledger.get();
-      step_options.query = query;
       if (injector != nullptr) injector->SetSalvagePass(salvage_pass);
-      step_result = cluster->RunStep(*task, std::move(roots), step_options);
+      step_result =
+          cluster->RunStep(*task, std::move(roots), query, step_options);
       // Cancellation/deadline outranks everything else about the attempt:
       // the step's output is partial (possibly empty telemetry when the
       // query was cancelled while queued at the admission gate), so it must
@@ -418,6 +406,21 @@ ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
   return result;
 }
 
+}  // namespace
+
+ExecutionResult ExecuteFractoid(const Fractoid& fractoid,
+                                const ExecutionConfig& config) {
+  return ExecuteFractoidStreaming(fractoid, config, nullptr);
+}
+
+ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
+                                         const ExecutionConfig& config,
+                                         const SubgraphSink& sink) {
+  // A synchronous run is a weight-1 query with id 0 that nobody cancels.
+  QueryControl query;
+  return RunFractoid(fractoid, config, sink, query);
+}
+
 const ExecutionResult& QueryHandle::Wait() {
   Status status = ticket_->Join();
   // When the body ran, it filled the slot (including the status) before the
@@ -442,10 +445,6 @@ StatusOr<QueryHandle> ExecuteFractoidAsync(
         "ExecutionConfig::cluster must be null or the scheduler's own "
         "cluster");
   }
-  if (config.query != nullptr) {
-    return InvalidArgumentError(
-        "ExecutionConfig::query is wired by the scheduler and must be null");
-  }
   ExecutionConfig effective = config;
   effective.cluster = scheduler.cluster();
   auto slot = std::make_shared<QueryHandle::Slot>();
@@ -454,9 +453,8 @@ StatusOr<QueryHandle> ExecuteFractoidAsync(
   // can go out of scope immediately.
   auto submitted = scheduler.Submit(
       std::move(submission),
-      [&fractoid, effective, slot](QueryControl& control) mutable -> Status {
-        effective.query = &control;
-        slot->result = ExecuteFractoid(fractoid, effective);
+      [&fractoid, effective, slot](QueryControl& control) -> Status {
+        slot->result = RunFractoid(fractoid, effective, nullptr, control);
         return slot->result.status;
       });
   if (!submitted.ok()) return submitted.status();

@@ -21,6 +21,7 @@
 
 #include "core/execution_types.h"
 #include "core/fractoid.h"
+#include "runtime/cluster.h"
 #include "runtime/query_scheduler.h"
 
 namespace fractal {
@@ -34,11 +35,19 @@ namespace fractal {
 /// aggregations. [[nodiscard]]: dropping the result discards the subgraph
 /// counts/aggregations the run computed.
 ///
-/// This synchronous entry point is the same query-aware engine that backs
-/// ExecuteFractoidAsync: set ExecutionConfig::query to get cooperative
-/// cancellation and a deadline without a scheduler.
+/// The run is a query like any other (DESIGN.md §12): its steps pass the
+/// same admission gate as ExecuteFractoidAsync's, under a weight-1 control
+/// block with id 0 that this call owns. Submit through a QueryScheduler for
+/// cancellation or a deadline.
 [[nodiscard]] ExecutionResult ExecuteFractoid(const Fractoid& fractoid,
                                               const ExecutionConfig& config);
+
+/// The cluster shape `config` asks for: the one mapping from an execution
+/// configuration to ClusterOptions (ephemeral clusters, and callers that
+/// build a shared cluster from a config). WS_ext needs at least two workers
+/// to have a victim, so the flag is normalized off for single-worker
+/// configs.
+ClusterOptions ToClusterOptions(const ExecutionConfig& config);
 
 /// OK unless some aggregation of `fractoid` could be fed a subgraph larger
 /// than its key holds (AggregationSpecBase::MaxSubgraphVertices, e.g. the
@@ -104,8 +113,7 @@ class QueryHandle {
 /// resubmit). The fractoid must outlive the execution (keep it alive until
 /// Wait returns or the scheduler is destroyed). `config.cluster` must be
 /// null or the scheduler's own cluster; topology fields are overridden by
-/// that cluster either way. `config.query` must be null — the scheduler
-/// wires the control block.
+/// that cluster either way.
 [[nodiscard]] StatusOr<QueryHandle> ExecuteFractoidAsync(
     const Fractoid& fractoid, const ExecutionConfig& config,
     QueryScheduler& scheduler, QueryScheduler::Submission submission = {});

@@ -1,9 +1,7 @@
 #include "enumerate/extension.h"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "enumerate/reference_extension.h"
 #include "graph/adjacency.h"
 
 namespace fractal {
@@ -453,30 +451,15 @@ void ExtensionContext::FlushCounters() {
   arena.FlushCounters();
 }
 
-bool UseReferenceExtensions() {
-  const char* flag = std::getenv("FRACTAL_REFERENCE_EXTENSIONS");
-  return flag != nullptr && flag[0] != '\0' &&
-         !(flag[0] == '0' && flag[1] == '\0');
-}
-
 std::shared_ptr<ExtensionStrategy> MakeVertexInducedStrategy() {
-  if (UseReferenceExtensions()) {
-    return std::make_shared<ReferenceVertexInducedStrategy>();
-  }
   return std::make_shared<VertexInducedStrategy>();
 }
 
 std::shared_ptr<ExtensionStrategy> MakeEdgeInducedStrategy() {
-  if (UseReferenceExtensions()) {
-    return std::make_shared<ReferenceEdgeInducedStrategy>();
-  }
   return std::make_shared<EdgeInducedStrategy>();
 }
 
 std::shared_ptr<ExtensionStrategy> MakeKClistStrategy() {
-  if (UseReferenceExtensions()) {
-    return std::make_shared<ReferenceKClistStrategy>();
-  }
   return std::make_shared<KClistStrategy>();
 }
 

@@ -182,15 +182,8 @@ class KClistStrategy : public ExtensionStrategy {
                          Subgraph* subgraph) const override;
 };
 
-/// True when the FRACTAL_REFERENCE_EXTENSIONS environment variable is set
-/// (non-empty, not "0"): the factories below then return the pre-kernel
-/// reference strategies from reference_extension.h instead of the fused
-/// ones. The A/B path for benchmarking and differential testing.
-bool UseReferenceExtensions();
-
-/// Strategy factories honoring FRACTAL_REFERENCE_EXTENSIONS. Application
-/// code (core/context.cc) goes through these; tests that need a specific
-/// implementation construct it directly.
+/// Strategy factories. Application code (core/context.cc) goes through
+/// these; tests that need a specific implementation construct it directly.
 std::shared_ptr<ExtensionStrategy> MakeVertexInducedStrategy();
 std::shared_ptr<ExtensionStrategy> MakeEdgeInducedStrategy();
 std::shared_ptr<ExtensionStrategy> MakeKClistStrategy();

@@ -7,23 +7,17 @@
 // runtime/worker.h): "runtime.work_units" itself is credited only at step
 // barriers, so it serves as the total only for samplers without a source.
 //
-// A StepProgressReporter owns one background thread that drives a sampler
-// every interval and logs the result, so a long fractal step shows signs of
-// life before the barrier-aggregated StepTelemetry exists. Started by
-// Cluster::RunStep when ClusterOptions::progress_interval_ms > 0 (default
-// off); the reporter is scoped to the step — construction spawns the
-// thread, destruction stops and joins it. `StepProgressReporter::mu` is a
-// leaf lock (DESIGN.md §5).
+// Cluster::RunStep drives one sampler from its barrier wait every
+// ClusterOptions::progress_interval_ms (default off) and logs each snapshot
+// through LogStepProgress, so a long fractal step shows signs of life
+// before the barrier-aggregated StepTelemetry exists.
 #ifndef FRACTAL_OBS_PROGRESS_H_
 #define FRACTAL_OBS_PROGRESS_H_
 
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace fractal {
@@ -71,29 +65,9 @@ class ProgressSampler {
   std::vector<uint64_t> worker_units_now_;
 };
 
-class StepProgressReporter {
- public:
-  /// Spawns the sampling thread; logs every `interval_ms` milliseconds.
-  /// `worker_units` (optional) adds per-worker deltas to the gauges and the
-  /// log line.
-  explicit StepProgressReporter(int64_t interval_ms,
-                                WorkerUnitsFn worker_units = nullptr);
-
-  /// Stops and joins the sampling thread. Emits no final report: the step
-  /// barrier's StepTelemetry is the authoritative end-of-step summary.
-  ~StepProgressReporter();
-
-  StepProgressReporter(const StepProgressReporter&) = delete;
-  StepProgressReporter& operator=(const StepProgressReporter&) = delete;
-
- private:
-  void Loop(int64_t interval_ms, WorkerUnitsFn worker_units);
-
-  Mutex mu_{"StepProgressReporter::mu"};
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::thread thread_;
-};
+/// Logs `snapshot` as one `step progress:` line at Info level. Formatted
+/// into a stack buffer and emitted through the allocation-free LogLine path.
+void LogStepProgress(const ProgressSnapshot& snapshot);
 
 }  // namespace obs
 }  // namespace fractal

@@ -135,8 +135,6 @@ ThreadBuffer& Tracer::LocalBuffer() {
     ThreadBuffer* buffer = nullptr;
     ~Slot() {
       if (buffer == nullptr) return;
-      FRACTAL_HOT_ESCAPE("thread exit: the ring goes back once per thread "
-                         "lifetime");
       ThreadBuffer* head = tracer->free_list_.load(std::memory_order_relaxed);
       do {
         buffer->next_free = head;

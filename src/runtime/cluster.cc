@@ -24,12 +24,12 @@ uint64_t FullMask(uint32_t num_workers) {
                            : ((uint64_t{1} << num_workers) - 1);
 }
 
-// Microseconds until the query's deadline, clamped to >= 1 so timed waits
-// always make progress (a non-positive remainder means the deadline check
-// will fire on the next loop iteration anyway).
-int64_t MicrosUntilDeadline(const QueryControl& query) {
+// Microseconds until `when`, clamped to >= 1 so timed waits always make
+// progress (a non-positive remainder means the waiter's check fires on the
+// next loop iteration anyway).
+int64_t MicrosUntil(std::chrono::steady_clock::time_point when) {
   const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                        query.deadline - std::chrono::steady_clock::now())
+                        when - std::chrono::steady_clock::now())
                         .count();
   return std::max<int64_t>(left, 1);
 }
@@ -238,31 +238,25 @@ void Cluster::RemoveGateWaiter(const GateTicket* ticket) {
 
 bool Cluster::AdmitStep(GateTicket& ticket) {
   MutexLock lock(run_mu_);
+  QueryControl& query = ticket.query;
   ticket.seq = gate_seq_++;
-  if (ticket.query != nullptr) {
-    // Start-time fairness: an idle query re-enters at the virtual-time
-    // floor, so banked idleness cannot be spent to starve the others.
-    ticket.query->vtime = std::max(ticket.query->vtime, vtime_floor_);
-    ticket.vtime = ticket.query->vtime;
-  } else {
-    ticket.vtime = vtime_floor_;
-  }
+  // Start-time fairness: an idle query re-enters at the virtual-time floor,
+  // so banked idleness cannot be spent to starve the others.
+  query.vtime = std::max(query.vtime, vtime_floor_);
+  ticket.vtime = query.vtime;
   gate_waiters_.push_back(&ticket);
   while (true) {
-    QueryControl* const query = ticket.query;
-    if (query != nullptr) {
-      query->CheckDeadline(std::chrono::steady_clock::now());
-      if (query->cancelled()) {
-        RemoveGateWaiter(&ticket);
-        // The departed waiter may have been the would-be winner; wake the
-        // rest so admission order is re-evaluated.
-        gate_cv_.NotifyAll();
-        return false;
-      }
+    query.CheckDeadline(std::chrono::steady_clock::now());
+    if (query.cancelled()) {
+      RemoveGateWaiter(&ticket);
+      // The departed waiter may have been the would-be winner; wake the
+      // rest so admission order is re-evaluated.
+      gate_cv_.NotifyAll();
+      return false;
     }
     if (!step_in_flight_ && NextGateWaiter() == &ticket) break;
-    if (query != nullptr && query->has_deadline) {
-      gate_cv_.WaitForMicros(run_mu_, MicrosUntilDeadline(*query));
+    if (query.has_deadline) {
+      gate_cv_.WaitForMicros(run_mu_, MicrosUntil(query.deadline));
     } else {
       gate_cv_.Wait(run_mu_);
     }
@@ -276,14 +270,11 @@ bool Cluster::AdmitStep(GateTicket& ticket) {
 void Cluster::ReleaseStep(GateTicket& ticket, uint64_t work_units) {
   MutexLock lock(run_mu_);
   step_in_flight_ = false;
-  if (ticket.query != nullptr) {
-    QueryControl& query = *ticket.query;
-    query.vtime +=
-        static_cast<double>(work_units) /
-        static_cast<double>(std::max<uint32_t>(query.weight, 1));
-    query.work_units.fetch_add(work_units, std::memory_order_relaxed);
-    query.steps_run.fetch_add(1, std::memory_order_relaxed);
-  }
+  QueryControl& query = ticket.query;
+  query.vtime += static_cast<double>(work_units) /
+                 static_cast<double>(std::max<uint32_t>(query.weight, 1));
+  query.work_units.fetch_add(work_units, std::memory_order_relaxed);
+  query.steps_run.fetch_add(1, std::memory_order_relaxed);
   gate_cv_.NotifyAll();
 }
 
@@ -294,6 +285,7 @@ void Cluster::WakeQueryGate() {
 
 Cluster::StepResult Cluster::RunStep(StepTask& task,
                                      std::vector<uint32_t> root_extensions,
+                                     QueryControl& query,
                                      const StepOptions& options) {
   // Declared before the gate so the span covers admission wait (queueing
   // delay is part of the step's latency under multi-tenancy).
@@ -304,13 +296,11 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   // service thread is blocked on the bus with an empty queue, so the
   // preparation below is race-free (the step_in_flight_ hand-off under
   // run_mu_ orders it after the previous step's teardown).
-  QueryControl* const query = options.query;
-  GateTicket ticket;
-  ticket.query = query;
+  GateTicket ticket{query};
   if (!AdmitStep(ticket)) {
     // Cancelled (or deadline-expired) while queued: nothing ran, nothing to
     // discard. Telemetry is intentionally empty.
-    FRACTAL_TRACE_INSTANT("cluster/step_cancelled", query->id);
+    FRACTAL_TRACE_INSTANT("cluster/step_cancelled", query.id);
     StepResult aborted;
     aborted.cancelled = true;
     return aborted;
@@ -357,8 +347,7 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   // consult the injector beyond this step's barrier without dangling.
   if (bus_ != nullptr) bus_->SetFaultInjector(options.fault_injector);
   control_.injector = injector;
-  control_.cancel =
-      query != nullptr ? &query->cancel_requested : nullptr;
+  control_.cancel = &query.cancel_requested;
   control_.working.store(live_threads, std::memory_order_relaxed);
   control_.timer.Restart();
 
@@ -370,34 +359,45 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   obs::StepActiveGauge().Set(1);
 
   {
-    // Mid-step progress logging: samples the per-thread live unit slots
-    // (through Worker::work_units) and the global steal counters,
-    // publishing both as gauges, so it needs no access to the
-    // (thread-owned) per-thread stats. Stopped (and joined) before the
-    // telemetry harvest below.
-    std::optional<obs::StepProgressReporter> progress;
-    if (options_.progress_interval_ms > 0) {
-      progress.emplace(options_.progress_interval_ms,
-                       [this](std::vector<uint64_t>* out) {
-                         SampleWorkerUnits(out);
-                       });
+    // The driver's barrier wait is the step's only clock: no watchdog or
+    // progress thread. It wakes at the earlier of the query's deadline
+    // (latching the cancel flag; the workers then unwind within one work
+    // unit each) and the next progress tick. The sampler reads the
+    // per-thread live unit slots and the global steal counters, never the
+    // thread-owned stats; sampling under mu_ delays a finishing thread by
+    // microseconds, and only when progress is on.
+    using Clock = std::chrono::steady_clock;
+    const auto interval =
+        std::chrono::milliseconds(options_.progress_interval_ms);
+    std::optional<obs::ProgressSampler> progress;
+    if (interval.count() > 0) {
+      progress.emplace([this](std::vector<uint64_t>* out) {
+        SampleWorkerUnits(out);
+      });
     }
+    Clock::time_point tick = Clock::now() + interval;
     FRACTAL_TRACE_SPAN_V("cluster/step_barrier", live_threads);
     MutexLock lock(mu_);
     threads_remaining_ = live_threads;
     ++step_generation_;
+    generation_live_mask_ = live_mask;
     work_cv_.NotifyAll();
-    // Deadline-aware barrier wait: no watchdog thread — the driver itself
-    // wakes at the deadline, latches the cancel flag, and the workers
-    // unwind cooperatively within one work unit each.
     while (threads_remaining_ != 0) {
-      if (query != nullptr && query->has_deadline && !query->cancelled()) {
-        if (query->CheckDeadline(std::chrono::steady_clock::now())) {
-          continue;  // flag latched; now wait for the unwind
-        }
-        done_cv_.WaitForMicros(mu_, MicrosUntilDeadline(*query));
-      } else {
+      const Clock::time_point now = Clock::now();
+      if (progress.has_value() && now >= tick) {
+        obs::LogStepProgress(progress->Sample());
+        tick = now + interval;
+      }
+      if (!query.cancelled()) query.CheckDeadline(now);
+      Clock::time_point wake =
+          progress.has_value() ? tick : Clock::time_point::max();
+      if (query.has_deadline && !query.cancelled()) {
+        wake = std::min(wake, query.deadline);
+      }
+      if (wake == Clock::time_point::max()) {
         done_cv_.Wait(mu_);
+      } else {
+        done_cv_.WaitForMicros(mu_, MicrosUntil(wake));
       }
     }
   }
@@ -447,14 +447,16 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   // next waiter. A cancelled step is still charged: its partial units were
   // real cluster time.
   ReleaseStep(ticket, result.telemetry.TotalWorkUnits());
-  if (query != nullptr) {
-    obs::QueryUnitsGauge(query->id)
+  // Only scheduled queries (ids from 1) publish a per-query series; id 0 is
+  // every synchronous execution, whose runs must not pile up series.
+  if (query.id != 0) {
+    obs::QueryUnitsGauge(query.id)
         .Set(static_cast<int64_t>(
-            query->work_units.load(std::memory_order_relaxed)));
-    if (query->cancelled()) {
-      result.cancelled = true;
-      FRACTAL_TRACE_INSTANT("cluster/step_cancelled", query->id);
-    }
+            query.work_units.load(std::memory_order_relaxed)));
+  }
+  if (query.cancelled()) {
+    result.cancelled = true;
+    FRACTAL_TRACE_INSTANT("cluster/step_cancelled", query.id);
   }
   return result;
 }

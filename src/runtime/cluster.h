@@ -15,11 +15,11 @@
 // discarded wholesale and re-run, so results stay bit-identical.
 //
 // One Cluster can be shared by many fractoid executions (see
-// ExecutionConfig::cluster). Step submissions are admitted one at a time
-// through a weighted-fair gate (DESIGN.md §12): concurrent executions
-// interleave at step granularity, ordered by start-time-fair virtual time
-// of their QueryControl (runtime/query.h). Queries without a control block
-// are admitted FIFO at the gate's virtual-time floor.
+// ExecutionConfig::cluster). Every step belongs to a query: step
+// submissions are admitted one at a time through a weighted-fair gate
+// (DESIGN.md §12), so concurrent executions interleave at step granularity,
+// ordered by start-time-fair virtual time of their QueryControl
+// (runtime/query.h). A synchronous execution is a weight-1 query with id 0.
 #ifndef FRACTAL_RUNTIME_CLUSTER_H_
 #define FRACTAL_RUNTIME_CLUSTER_H_
 
@@ -65,9 +65,9 @@ struct ClusterOptions {
   /// and retry/backoff policy.
   NetworkConfig network;
 
-  /// When > 0, RunStep runs a StepProgressReporter that logs work-unit
-  /// throughput and steal rates every `progress_interval_ms` while the step
-  /// is in flight (obs/progress.h).
+  /// When > 0, RunStep's barrier wait also wakes every
+  /// `progress_interval_ms` while the step is in flight, samples work-unit
+  /// throughput and steal rates (obs/progress.h) and logs them.
   int64_t progress_interval_ms = 0;
 
   /// When >= 0, the cluster starts an embedded exposition server
@@ -113,12 +113,6 @@ class Cluster {
     /// tracking (the from-scratch retry model). Owned by the executor and
     /// valid across the whole step, including its barrier.
     LineageLedger* lineage = nullptr;
-    /// Query this step belongs to (multi-tenant scheduling, DESIGN.md §12):
-    /// drives fair admission ordering, cooperative cancellation (workers
-    /// poll its cancel flag once per work unit) and the deadline-aware
-    /// barrier wait. Null runs the step as an anonymous query (FIFO
-    /// admission, no cancellation). Must outlive the RunStep call.
-    QueryControl* query = nullptr;
   };
 
   struct StepResult {
@@ -147,13 +141,17 @@ class Cluster {
   /// live worker has finished it (submit/barrier). `root_extensions` — the
   /// extensions of the empty subgraph — are partitioned contiguously across
   /// the live cores (paper §4: "an initial partition of extensions ...
-  /// determined on-the-fly using its unique core identifier"). Thread-safe:
+  /// determined on-the-fly using its unique core identifier"). `query` is
+  /// the query the step belongs to (DESIGN.md §12): it orders admission,
+  /// workers poll its cancel flag once per work unit, and its deadline
+  /// bounds the barrier wait; it must outlive the call. Thread-safe:
   /// concurrent submissions from different executions are admitted one at a
-  /// time in weighted-fair order (options.query). The result carries the
+  /// time in weighted-fair order. The result carries the
   /// failure/cancellation record of the step (see StepResult) and must not
   /// be dropped.
   [[nodiscard]] StepResult RunStep(StepTask& task,
                                    std::vector<uint32_t> root_extensions,
+                                   QueryControl& query,
                                    const StepOptions& options)
       EXCLUDES(run_mu_, mu_);
 
@@ -244,9 +242,9 @@ class Cluster {
   /// One waiter at the admission gate. Lives on the RunStep caller's stack;
   /// registered in gate_waiters_ while waiting.
   struct GateTicket {
-    QueryControl* query = nullptr;  // null: anonymous (FIFO at the floor)
-    uint64_t seq = 0;               // arrival order, tie-break
-    double vtime = 0.0;             // admission key (snapshot under run_mu_)
+    QueryControl& query;
+    uint64_t seq = 0;    // arrival order, tie-break
+    double vtime = 0.0;  // admission key (snapshot under run_mu_)
   };
 
   /// Blocks until this ticket wins the gate (weighted fair order) and no
@@ -309,6 +307,11 @@ class Cluster {
   CondVar work_cv_;  // new step or shutdown
   CondVar done_cv_;  // all threads finished the step
   uint64_t step_generation_ GUARDED_BY(mu_) = 0;
+  /// step_.live_mask of the step at step_generation_, published with the
+  /// bump. Threads read it here, under mu_, to decide whether to skip the
+  /// step: a dead worker's threads are not counted at the barrier, so they
+  /// may wake while the driver is already writing the next step's step_.
+  uint64_t generation_live_mask_ GUARDED_BY(mu_) = 0;
   uint32_t threads_remaining_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
 

@@ -1,10 +1,10 @@
 // Per-query control block for multi-tenant scheduling (DESIGN.md §12).
 //
-// A QueryControl travels with one fractoid execution: the executor stores a
-// pointer to it in every StepOptions it submits, the Cluster's admission
-// gate uses it for weighted fair sharing, and worker threads poll its
-// cancel flag once per work unit (one relaxed load — the same hot-path
-// budget as the fault-injection poll, see DESIGN.md §7).
+// A QueryControl travels with one fractoid execution: the executor passes
+// it to every Cluster::RunStep it submits, the Cluster's admission gate
+// uses it for weighted fair sharing, and worker threads poll its cancel
+// flag once per work unit (one relaxed load — the same hot-path budget as
+// the fault-injection poll, see DESIGN.md §7).
 //
 // Thread-safety: the atomic members are written/read from scheduler driver
 // threads, the step driver and worker threads concurrently. `vtime` is NOT
@@ -20,13 +20,14 @@
 
 namespace fractal {
 
-/// Shared control block of one scheduled query (one fractoid execution).
-/// Owned by whoever drives the execution — a ScheduledQuery handle when the
-/// QueryScheduler is in play, or a caller's stack frame for a synchronous
-/// execution that just wants a deadline/cancel knob (ExecutionConfig::query).
+/// Shared control block of one query (one fractoid execution). Owned by
+/// whoever drives the execution — a ScheduledQuery handle when the
+/// QueryScheduler is in play, or the synchronous executor entry points,
+/// which run under a default-constructed block of their own.
 struct QueryControl {
-  /// Stable id for metrics/statusz/trace attribution. 0 is reserved for
-  /// "anonymous" (no query attached).
+  /// Stable id for metrics/statusz/trace attribution. 0 is every
+  /// synchronous execution; the QueryScheduler numbers its queries from 1,
+  /// and only those publish a per-query runtime.query_units.<id> series.
   uint64_t id = 0;
   std::string name;
 

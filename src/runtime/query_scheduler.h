@@ -3,8 +3,8 @@
 //
 // The scheduler owns a small pool of driver threads (max_active). Each
 // driver pops one submitted query at a time and runs its body — an opaque
-// `Status(QueryControl&)` callable, typically a core-executor invocation
-// with ExecutionConfig::query wired to the control block. Interleaving
+// `Status(QueryControl&)` callable, typically a core-executor run whose
+// steps all belong to that control block (ExecuteFractoidAsync). Interleaving
 // between concurrent queries happens *below* the scheduler, at the
 // Cluster's weighted-fair step-admission gate: a driver thread per query
 // keeps the executor's sequential step loop unchanged while steps of
@@ -101,9 +101,9 @@ class QueryScheduler {
   };
 
   /// A query body runs on a scheduler driver thread. It must poll
-  /// `control` cooperatively (the core executor does when
-  /// ExecutionConfig::query points at it) and return the query's final
-  /// status — kCancelled / kDeadlineExceeded when it observed the flags.
+  /// `control` cooperatively (the core executor does for every step it
+  /// submits) and return the query's final status — kCancelled /
+  /// kDeadlineExceeded when it observed the flags.
   using QueryBody = std::function<Status(QueryControl&)>;
 
   /// `cluster` must outlive the scheduler. Registers a per-query /statusz

@@ -82,6 +82,7 @@ void Worker::ThreadLoop(ThreadContext& t) {
   }
   uint64_t seen_generation = 0;
   while (true) {
+    bool live = false;
     {
       MutexLock lock(cluster_->mu_);
       while (!cluster_->shutdown_ &&
@@ -90,11 +91,12 @@ void Worker::ThreadLoop(ThreadContext& t) {
       }
       if (cluster_->shutdown_) return;
       seen_generation = cluster_->step_generation_;
+      live = ((cluster_->generation_live_mask_ >> worker_id_) & 1) != 0;
     }
     // Degraded steps run on the live-worker subset only: threads of dead
     // workers skip the step entirely and must not touch the barrier count
     // (it was initialized to the live thread total).
-    if (((cluster_->step_.live_mask >> worker_id_) & 1) == 0) continue;
+    if (!live) continue;
     RunStepOnThread(t);
     {
       MutexLock lock(cluster_->mu_);
@@ -155,7 +157,7 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
   // rescans starve the threads that still hold work.
   const bool external_enabled = cluster_->bus_ != nullptr;
   FaultInjector* injector = control.injector;
-  const std::atomic<bool>* cancel = control.cancel;
+  const std::atomic<bool>& cancel = *control.cancel;
   const int64_t max_backoff_micros =
       std::max<int64_t>(400, 100 * live_threads);
   int64_t backoff_micros = 50;
@@ -170,7 +172,7 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
     if (injector != nullptr && injector->crashed_mask() != 0) break;
     // Cancellation containment mirrors crash containment: the step's
     // output is doomed, so idle threads stop stealing more of it.
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
+    if (cancel.load(std::memory_order_relaxed)) break;
     if (control.working.load(std::memory_order_acquire) == 0) break;
     control.EnterWorking();
     bool got = false;

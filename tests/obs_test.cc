@@ -15,11 +15,16 @@
 
 #include "apps/motifs.h"
 #include "core/context.h"
+#include "core/executor.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "runtime/cluster.h"
+#include "runtime/fault.h"
+#include "runtime/query_scheduler.h"
 #include "util/mutex.h"
+#include "util/timer.h"
 
 namespace fractal {
 namespace {
@@ -357,16 +362,53 @@ TEST(MetricsTest, DumpsContainRecordedMetrics) {
   EXPECT_NE(json.find("\"4\":1"), std::string::npos);
 }
 
-// --- Step-progress reporter ------------------------------------------------
+// --- Step progress: the driver's barrier wait is the step's clock --------
 
-TEST(ProgressTest, ReporterStartsSamplesAndStops) {
-  obs::WorkUnitsCounter().Add(17);  // give it something to report
-  {
-    obs::StepProgressReporter reporter(/*interval_ms=*/5);
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    obs::WorkUnitsCounter().Add(100);
-  }  // destructor must stop and join without deadlock
-  SUCCEED();
+// A straggler step on a cluster with progress_interval_ms = 5 spans many
+// intervals, so the barrier wait must log progress lines mid-step. A
+// scheduled query with both a deadline and progress wakes for both on the
+// same wait: it logs progress and still ends at its deadline.
+TEST(ProgressTest, BarrierWaitLogsProgressAndHonorsDeadline) {
+  FractalContext fctx;
+  const FractalGraph graph =
+      fctx.FromGraph(GenerateRandomGraph(120, 480, 1, 1, 17));
+  ClusterOptions options;
+  options.num_workers = 1;
+  options.threads_per_worker = 2;
+  options.progress_interval_ms = 5;
+  Cluster cluster(options);
+  ExecutionConfig config;
+  config.cluster = &cluster;
+  config.fault_plan = FaultPlan().SlowWorker(0, 200);
+
+  testing::internal::CaptureStderr();
+  const ExecutionResult full = graph.VFractoid().Expand(3).Execute(config);
+  const std::string full_log = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(full.status.ok()) << full.status;
+  ASSERT_EQ(full.telemetry.steps.size(), 1u);
+  // The step outlasts many intervals, so a line can only come mid-step.
+  ASSERT_GE(full.telemetry.steps[0].wall_seconds, 0.2);
+  EXPECT_NE(full_log.find("step progress: +"), std::string::npos);
+
+  constexpr int64_t kDeadlineMs = 60;
+  QueryScheduler scheduler(&cluster);
+  const Fractoid fractoid = graph.VFractoid().Expand(3);
+  testing::internal::CaptureStderr();
+  WallTimer timer;
+  auto handle = ExecuteFractoidAsync(fractoid, config, scheduler,
+                                     {.name = "bounded", .weight = 1,
+                                      .deadline_ms = kDeadlineMs});
+  ASSERT_TRUE(handle.ok());
+  const ExecutionResult& bounded = handle->Wait();
+  const double elapsed = timer.ElapsedSeconds();
+  const std::string bounded_log = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(bounded.status.code(), StatusCode::kDeadlineExceeded)
+      << bounded.status;
+  EXPECT_GE(elapsed, kDeadlineMs / 1000.0);
+  // Bounded by the deadline, not by the step: the workers unwind within
+  // one (200 us) work unit of the latched flag.
+  EXPECT_LT(elapsed, full.telemetry.steps[0].wall_seconds / 2);
+  EXPECT_NE(bounded_log.find("step progress: +"), std::string::npos);
 }
 
 TEST(ProgressTest, CondVarWaitForTimesOut) {

@@ -12,7 +12,6 @@
 #include <set>
 
 #include "apps/cliques.h"
-#include "enumerate/reference_extension.h"
 #include "apps/fsm.h"
 #include "apps/keyword_search.h"
 #include "apps/motifs.h"
@@ -24,6 +23,7 @@
 #include "pattern/quick_key.h"
 #include "runtime/fault.h"
 #include "tests/brute_force.h"
+#include "tests/reference_extension.h"
 #include "util/random.h"
 
 namespace fractal {

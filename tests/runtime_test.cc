@@ -294,10 +294,11 @@ TEST(ClusterTest, BusySecondsExcludesIdleBackoff) {
   Cluster cluster(options);
 
   SleepyCountTask task;
+  QueryControl query;
   Cluster::StepOptions step_options;
   step_options.num_levels = 1;
   const Cluster::StepResult result =
-      cluster.RunStep(task, {1, 2, 3, 4}, step_options);
+      cluster.RunStep(task, {1, 2, 3, 4}, query, step_options);
 
   ASSERT_EQ(result.telemetry.threads.size(), 2u);
   EXPECT_EQ(result.telemetry.TotalWorkUnits(), 4u);

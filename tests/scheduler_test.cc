@@ -14,6 +14,8 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -383,7 +385,7 @@ TEST(AsyncExecutorTest, DeadlineExpiryReturnsDeadlineExceeded) {
   EXPECT_TRUE(handle->control().DeadlineHit());
 }
 
-TEST(AsyncExecutorTest, RejectsForeignClusterAndPrewiredQuery) {
+TEST(AsyncExecutorTest, RejectsForeignCluster) {
   Cluster cluster(SharedClusterOptions());
   Cluster other(SharedClusterOptions());
   QueryScheduler scheduler(&cluster);
@@ -397,14 +399,84 @@ TEST(AsyncExecutorTest, RejectsForeignClusterAndPrewiredQuery) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
 
-  QueryControl control;
-  ExecutionConfig prewired;
-  prewired.query = &control;
-  EXPECT_EQ(ExecuteFractoidAsync(fractoid, prewired, scheduler)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+/// Names of the per-query units series on /metricsz
+/// (fractal_runtime_query_units_<id>).
+std::set<std::string> QueryUnitsSeries() {
+  const std::string prefix = "fractal_runtime_query_units_";
+  std::set<std::string> names;
+  std::istringstream lines(obs::MetricsRegistry::Get().DumpPrometheus());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) == 0) {
+      names.insert(line.substr(0, line.find(' ')));
+    }
+  }
+  return names;
+}
+
+// Every step is a query: two synchronous executions (each its own id-0,
+// weight-1 control) and one scheduled query interleave on one cluster's
+// gate and stay bit-exact against serial runs. Only the scheduled id
+// publishes a per-query series, so synchronous runs cannot pile them up.
+TEST(AsyncExecutorTest, SynchronousRunsAndScheduledQueryShareTheGate) {
+  const Graph g = GenerateRandomGraph(60, 220, 1, 1, 41);
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  ExecutionConfig serial;
+  serial.num_workers = 1;
+  serial.threads_per_worker = 1;
+  const ExecutionResult expected =
+      MultiStepFractoid(graph, 2, 0).Execute(serial);
+  ASSERT_TRUE(expected.status.ok()) << expected.status;
+
+  Cluster cluster(SharedClusterOptions());
+  QueryScheduler scheduler(&cluster);
+  ExecutionConfig shared;
+  shared.cluster = &cluster;
+  const std::set<std::string> series_before = QueryUnitsSeries();
+  const uint64_t steps_before = cluster.steps_run();
+
+  const Fractoid scheduled = MultiStepFractoid(graph, 2, 50);
+  auto handle = ExecuteFractoidAsync(scheduled, shared, scheduler,
+                                     {.name = "scheduled"});
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  ExecutionResult sync_results[2];
+  std::vector<std::thread> runners;
+  for (ExecutionResult& result : sync_results) {
+    runners.emplace_back([&graph, &shared, &result] {
+      result = MultiStepFractoid(graph, 2, 50).Execute(shared);
+    });
+  }
+  for (std::thread& runner : runners) runner.join();
+  const ExecutionResult& scheduled_result = handle->Wait();
+
+  for (const ExecutionResult* result :
+       std::vector<const ExecutionResult*>{
+           &sync_results[0], &sync_results[1], &scheduled_result}) {
+    ASSERT_TRUE(result->status.ok()) << result->status;
+    EXPECT_EQ(result->num_subgraphs, expected.num_subgraphs);
+    EXPECT_EQ(result->steps_executed, expected.steps_executed);
+    for (const char* name : {"count0", "count1"}) {
+      const uint64_t* got = result->Aggregation<uint64_t, uint64_t>(name).Find(0);
+      const uint64_t* want =
+          expected.Aggregation<uint64_t, uint64_t>(name).Find(0);
+      ASSERT_TRUE(got != nullptr && want != nullptr) << name;
+      EXPECT_EQ(*got, *want) << name;
+    }
+  }
+  EXPECT_EQ(cluster.steps_run() - steps_before,
+            3 * uint64_t{expected.steps_executed});
+  EXPECT_EQ(handle->control().steps_run.load(), expected.steps_executed);
+
+  std::set<std::string> added;
+  for (const std::string& name : QueryUnitsSeries()) {
+    if (series_before.count(name) == 0) added.insert(name);
+  }
+  const std::string own =
+      "fractal_runtime_query_units_" + std::to_string(handle->id());
+  EXPECT_TRUE(added.empty() || added == std::set<std::string>{own});
+  EXPECT_EQ(QueryUnitsSeries().count("fractal_runtime_query_units_0"), 0u);
 }
 
 // --- Same-fractoid concurrency contract ----------------------------------

@@ -29,6 +29,11 @@ plus two repo-hygiene rules checked everywhere (not just on hot paths):
                         silently create a fresh counter, or an exposition
                         endpoint no runbook links to)
 
+Calls resolve to in-repo definitions by name, narrowed to the receiver's
+class (and its subclasses) where the text names it: a local, parameter or
+member declared in scope, `this`, a `C::` qualifier, or the implicit `this`
+of a member function (Repo.receiver_class).
+
 `FRACTAL_HOT_ESCAPE("reason")` marks the remainder of its enclosing block as
 an audited cold branch; `AllocGuard::Allow` scopes count the same way, and
 `static` local initializers are treated as one-time cold setup.
@@ -66,11 +71,6 @@ EXEMPT_FILES = {
     # deliberately raw std::mutex to avoid self-instrumentation recursion).
     "src/util/lockdep.cc",
     "src/util/lockdep.h",
-    # The pre-kernel A/B reference strategies trade speed for obvious
-    # correctness; they are the differential-testing baseline, not the
-    # production data plane (enabled only via FRACTAL_REFERENCE_EXTENSIONS).
-    "src/enumerate/reference_extension.cc",
-    "src/enumerate/reference_extension.h",
     # Comparison baselines: not the Fractal data plane.
     "src/baselines/",
 }
@@ -167,10 +167,6 @@ METRIC_HANDLE_FN_RE = re.compile(
 # Locals bound to a registry handle: `obs::Counter& name =`.
 METRIC_HANDLE_LOCAL_RE = re.compile(
     r"\b(?:Counter|Histogram)\s*&\s*(\w+)\s*=")
-# The metric classes themselves: their bodies are the shared RMWs, judged at
-# each call site instead (a name-resolved walk would otherwise land in
-# Histogram::Record from a LocalHistogram::Record call).
-SHARED_RMW_PRIMITIVE_FILES = {"src/obs/metrics.h"}
 
 RULES = ("allocation", "stl-growth", "throw", "unannotated-external",
          "shared-rmw", "raw-mutex", "metric-name")
@@ -282,6 +278,7 @@ class FunctionDef:
         self.body_offset = body_offset  # offset of '{' in file code
         self.full_code = full_code      # whole-file stripped code
         self.exempt = exempt            # resolvable, but audited: not walked
+        self.cls = None                 # owning class (Repo.assign_classes)
         self.hot = bool(re.search(r"\bFRACTAL_HOT\b(?!_)", header))
         self.arena_params = self._arena_params(header)
         self.suppressed = self._suppressed_spans()
@@ -440,6 +437,68 @@ def split_top_level(text, sep):
     return parts
 
 
+# `class Name [final] [: bases] {` (also struct; attributes and alignas
+# allowed before the name). Enum classes are skipped by the caller.
+CLASS_RE = re.compile(
+    r"\b(?:class|struct)\s+(?:\[\[[^\]]*\]\]\s*)?"
+    r"(?:alignas\s*\([^)]*\)\s*)?([A-Za-z_]\w*)\s*(?:final\s*)?"
+    r"(?::\s*([^;{}]*))?\{")
+# A declaration `Type [<args>] [const] [&*] name` followed by what may end a
+# declarator; group 1 is the (possibly qualified) type, group 2 the name.
+DECL_RE = re.compile(
+    r"((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)\s*(?:<[^;{}()]*?>)?\s*"
+    r"(?:const\s*)?[&*]*\s*(?:const\s+)?\b([A-Za-z_]\w*)\s*"
+    r"(?=[=;,)\[{(]|:(?!:)|GUARDED_BY\b)")
+NON_TYPES = CONTROL_KEYWORDS | {"const", "static", "constexpr", "mutable",
+                                "inline", "virtual", "auto", "public",
+                                "private", "protected", "friend", "using",
+                                "typedef", "template", "typename", "goto",
+                                "delete", "throw"}
+
+
+def matching_brace(code, open_pos):
+    """Offset of the '}' closing the '{' at open_pos (len(code) if none)."""
+    depth = 0
+    for i in range(open_pos, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(code)
+
+
+def top_level_text(code, open_pos, close_pos):
+    """The text between a '{' and its '}' with nested brace bodies dropped:
+    a class body's own declarations, without its inline method bodies."""
+    out, depth = [], 0
+    for c in code[open_pos + 1:close_pos]:
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            out.append(";")
+            continue
+        if depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def declared_type(text, name):
+    """Type named by the last declaration of `name` in `text`, reduced to
+    its final identifier (`obs::LocalHistogram` -> LocalHistogram); None
+    when `name` is not declared there."""
+    found = None
+    for m in DECL_RE.finditer(text):
+        if m.group(2) != name:
+            continue
+        type_name = re.sub(r"\s", "", m.group(1)).split("::")[-1]
+        if type_name not in NON_TYPES:
+            found = type_name
+    return found
+
+
 HEADER_REJECT = re.compile(
     r"^\s*(?:if|for|while|switch|do|else|try|catch|namespace|class|struct|"
     r"enum|union|return|case|default|extern)\b")
@@ -564,15 +623,154 @@ class Repo:
             for f in extract_functions(rel, code):
                 f.exempt = exempt
                 self.functions.append(f)
-        self.defs_by_name = {}
-        for f in self.functions:
-            self.defs_by_name.setdefault(f.name, []).append(f)
+        self.index_classes()
+        self.set_functions(self.functions)
         self.reached_from = {}
         # Names of functions that hand out shared registry metric handles.
         self.shared_metric_handles = set()
         for code in self.code.values():
             self.shared_metric_handles.update(
                 m.group(1) for m in METRIC_HANDLE_FN_RE.finditer(code))
+
+    # -- class model (receiver-aware call resolution) ---------------------
+
+    def index_classes(self):
+        """Class spans per file, plus each class's bases and data members
+        (member name -> type; None when two declarations disagree)."""
+        self.class_spans = {}
+        self.class_bases = {}
+        self.class_members = {}
+        for rel, code in self.code.items():
+            spans = []
+            for m in CLASS_RE.finditer(code):
+                if re.search(r"\benum\s+$", code[:m.start()]):
+                    continue
+                name = m.group(1)
+                open_pos = m.end() - 1
+                close_pos = matching_brace(code, open_pos)
+                spans.append((open_pos, close_pos, name))
+                bases = self.class_bases.setdefault(name, set())
+                for base in split_top_level(m.group(2) or "", ","):
+                    base = re.sub(r"<.*", "", base)
+                    idents = re.findall(r"[A-Za-z_]\w*", base)
+                    if idents:
+                        bases.add(idents[-1])
+                members = self.class_members.setdefault(name, {})
+                body = top_level_text(code, open_pos, close_pos)
+                for d in DECL_RE.finditer(body):
+                    type_name = re.sub(r"\s", "", d.group(1)).split("::")[-1]
+                    if type_name in NON_TYPES:
+                        continue
+                    member = d.group(2)
+                    if members.get(member, type_name) != type_name:
+                        type_name = None
+                    members[member] = type_name
+            self.class_spans[rel] = spans
+        self.class_derived = {}
+        for name, bases in self.class_bases.items():
+            for base in bases:
+                self.class_derived.setdefault(base, set()).add(name)
+
+    def set_functions(self, functions):
+        """Installs the function list: owning classes and the name index."""
+        self.functions = functions
+        for f in functions:
+            f.cls = self.owning_class(f)
+        self.defs_by_name = {}
+        for f in functions:
+            self.defs_by_name.setdefault(f.name, []).append(f)
+
+    def owning_class(self, func):
+        """`C` for an out-of-line `C::F`, else the innermost class whose
+        body holds the definition; None for free functions."""
+        parts = func.qualname.split("::")
+        if len(parts) > 1 and parts[-2] in self.class_bases:
+            return parts[-2]
+        best = None
+        for open_pos, close_pos, name in self.class_spans.get(func.path, []):
+            if open_pos < func.body_offset < close_pos:
+                if best is None or open_pos > best[0]:
+                    best = (open_pos, name)
+        return best[1] if best else None
+
+    def class_family(self, cls):
+        """`cls` and every class deriving from it: the targets a virtual
+        call through a `cls` receiver can reach."""
+        family, stack = set(), [cls]
+        while stack:
+            c = stack.pop()
+            if c not in family:
+                family.add(c)
+                stack.extend(self.class_derived.get(c, ()))
+        return family
+
+    def member_type(self, cls, member):
+        seen, stack = set(), [cls]
+        while stack:
+            c = stack.pop()
+            if c in seen:
+                continue
+            seen.add(c)
+            members = self.class_members.get(c, {})
+            if member in members:
+                return members[member]
+            stack.extend(self.class_bases.get(c, ()))
+        return None
+
+    def receiver_class(self, func, pos, is_member):
+        """Class of the object a call at `pos` runs on, when the text names
+        it: a local, a parameter or a member declared in scope (`x.F()`,
+        `x->F()`), a data member every declaring class gives one type
+        (`a.x.F()`), `this`, a class qualifier (`C::F()`), or the implicit
+        `this` of an unqualified call in a member function. None otherwise
+        (call results, auto, templates, ambiguous members)."""
+        before = func.body[:pos].rstrip()
+        if not is_member:
+            if before.endswith("::"):
+                m = re.search(r"([A-Za-z_]\w*)\s*::$", before)
+                return m.group(1) if m and m.group(1) in self.class_bases \
+                    else None
+            return func.cls
+        before = before[:-2] if before.endswith("->") else before[:-1]
+        before = before.rstrip()
+        m = re.search(r"([A-Za-z_]\w*)$", before)
+        if m is None:
+            return None
+        rest = before[:m.start()].rstrip()
+        ident = m.group(1)
+        if rest.endswith("::"):
+            return None
+        if rest.endswith((".", "->")):
+            # Chained (`a.b.F()`): `b` is a data member of whatever `a` is;
+            # named only when every class declaring a `b` agrees on its type.
+            types = set(members[ident] for members in
+                        self.class_members.values() if ident in members)
+            type_name = types.pop() if len(types) == 1 else None
+            return type_name if type_name in self.class_bases else None
+        if ident == "this":
+            return func.cls
+        lparen = func.header.find("(")
+        params = func.header[lparen + 1:func.header.rfind(")")] \
+            if lparen >= 0 else ""
+        type_name = declared_type(func.body[:m.start()], ident) or \
+            declared_type(params + ",", ident)
+        if type_name is None and func.cls is not None:
+            type_name = self.member_type(func.cls, ident)
+        return type_name if type_name in self.class_bases else None
+
+    def resolve_call(self, func, pos, name, is_member):
+        """In-repo definitions a call may run. By name, narrowed to the
+        receiver's class family when the text names that class and the
+        family defines `name`; the plain by-name set otherwise."""
+        defs = self.defs_by_name.get(name)
+        if not defs:
+            return defs
+        cls = self.receiver_class(func, pos, is_member)
+        if cls is None:
+            return defs
+        family = self.class_family(cls)
+        precise = [d for d in defs if d.cls in family]
+        return precise or defs
 
     # -- hot-path walk -----------------------------------------------------
 
@@ -596,7 +794,7 @@ class Repo:
                     continue
                 if MACRO_NAME_RE.match(name):
                     continue
-                defs = self.defs_by_name.get(name)
+                defs = self.resolve_call(func, pos, name, is_member)
                 if defs:
                     for callee in defs:
                         if callee.exempt:
@@ -626,15 +824,20 @@ class Repo:
     def explain(self, name_substr):
         """Prints the root-to-function call chain for every walked function
         whose qualified name contains name_substr (debugging aid)."""
+        def display(func):
+            if func.cls and "::" not in func.qualname:
+                return "%s::%s" % (func.cls, func.qualname)  # inline member
+            return func.qualname
+
         for func in self.functions:
             if id(func) not in self.reached_from:
                 continue
-            if name_substr not in func.qualname:
+            if name_substr not in display(func):
                 continue
             chain = []
             cur = func
             while cur is not None:
-                chain.append("%s (%s:%d)" % (cur.qualname, cur.path,
+                chain.append("%s (%s:%d)" % (display(cur), cur.path,
                                              cur.line()))
                 cur = self.reached_from.get(id(cur))
             print(" <- ".join(chain))
@@ -679,8 +882,6 @@ class Repo:
 
     def scan_shared_rmw(self, func, report):
         """shared-rmw: atomic RMWs and shared registry-metric updates."""
-        if func.path in SHARED_RMW_PRIMITIVE_FILES:
-            return
         handle_locals = set(
             m.group(1) for m in METRIC_HANDLE_LOCAL_RE.finditer(func.body))
         for pos, name, is_member in func.calls:
@@ -906,10 +1107,7 @@ def run_repo(args):
             # through includes); .cc bodies come from the AST.
             header_functions = [f for f in repo.functions
                                 if f.path.endswith(".h")]
-            repo.functions = header_functions + clang_functions
-            repo.defs_by_name = {}
-            for f in repo.functions:
-                repo.defs_by_name.setdefault(f.name, []).append(f)
+            repo.set_functions(header_functions + clang_functions)
             engine = "clang"
         elif args.engine == "clang":
             print("fractal_lint: --engine=clang requested but libclang "
