@@ -5,8 +5,9 @@
 //    failed step is discarded wholesale and re-executed on the survivors.
 //    The lineage ledger (DESIGN.md §11) sharpens that: only the crashed
 //    worker's unfinished fractoid tasks are re-enumerated. We crash worker
-//    1 after 25% / 50% / 75% of its fault-free work-unit budget and run
-//    both recovery modes, reporting wall time, re-executed work units, and
+//    1 after 25% / 50% / 75% of its fault-free work-unit budget and recover
+//    both ways — by default (salvage) and with no salvage-pass budget
+//    (from scratch) — reporting wall time, re-executed work units, and
 //    the salvage/scratch replay ratio, checking both recovered results are
 //    bit-identical to the fault-free baseline. With --recovery-out <path>
 //    the ratios are written as google-benchmark JSON over the
@@ -35,6 +36,16 @@ ExecutionConfig BenchCluster() {
   ExecutionConfig config = bench::DefaultCluster();  // 2 workers x 2 cores
   config.network.request_timeout_micros = 50000;
   config.network.retry_backoff_micros = 50;
+  return config;
+}
+
+/// The recovery runs turn WS_ext off: worker 1's two threads only steal
+/// from each other, so worker 1 consumes exactly the units of its own root
+/// partition, the fault-free budget is the same every run, and every crash
+/// point below fires.
+ExecutionConfig RecoveryCluster() {
+  ExecutionConfig config = BenchCluster();
+  config.external_work_stealing = false;
   return config;
 }
 
@@ -75,7 +86,7 @@ int main(int argc, char** argv) {
   constexpr uint32_t kMotifSize = 3;
 
   // --- 1. recovery latency -----------------------------------------------
-  const ExecutionConfig baseline_config = BenchCluster();
+  const ExecutionConfig baseline_config = RecoveryCluster();
   WallTimer baseline_timer;
   const MotifsResult baseline = CountMotifs(graph, kMotifSize, baseline_config);
   const double baseline_seconds = baseline_timer.ElapsedSeconds();
@@ -102,29 +113,36 @@ int main(int argc, char** argv) {
     const uint64_t crash_after =
         std::max<uint64_t>(1, worker1_units * percent / 100);
 
-    // From-scratch recovery: the successful attempt re-enumerates every
-    // unit of the step on the survivor.
-    ExecutionConfig scratch_config = BenchCluster();
+    // From-scratch recovery (no salvage-pass budget): the successful
+    // attempt re-enumerates every unit of the step on the survivor.
+    ExecutionConfig scratch_config = RecoveryCluster();
     scratch_config.fault_plan = FaultPlan().CrashWorker(1, crash_after);
+    scratch_config.retry.max_salvage_passes = 0;
     WallTimer scratch_timer;
     const MotifsResult scratch = CountMotifs(graph, kMotifSize, scratch_config);
     const double scratch_seconds = scratch_timer.ElapsedSeconds();
     FRACTAL_CHECK(scratch.execution.status.ok()) << scratch.execution.status;
+    FRACTAL_CHECK(scratch.execution.steps_retried == 1)
+        << "scratch run at " << percent << "% did not crash exactly once";
+    FRACTAL_CHECK(scratch.execution.salvage_passes == 0);
     uint64_t scratch_units = 0;
     for (const StepTelemetry& step : scratch.execution.telemetry.steps) {
       scratch_units += step.TotalWorkUnits();
     }
 
-    // Salvage recovery: only worker 1's unfinished tasks are replayed.
-    ExecutionConfig salvage_config = BenchCluster();
+    // Default recovery salvages: only worker 1's unfinished tasks are
+    // replayed.
+    ExecutionConfig salvage_config = RecoveryCluster();
     salvage_config.fault_plan = FaultPlan().CrashWorker(1, crash_after);
-    salvage_config.retry.mode = RetryPolicy::Mode::kSalvage;
     WallTimer salvage_timer;
     const MotifsResult salvaged =
         CountMotifs(graph, kMotifSize, salvage_config);
     const double salvage_seconds = salvage_timer.ElapsedSeconds();
     FRACTAL_CHECK(salvaged.execution.status.ok())
         << salvaged.execution.status;
+    FRACTAL_CHECK(salvaged.execution.steps_retried == 1)
+        << "salvage run at " << percent << "% did not crash exactly once";
+    FRACTAL_CHECK(salvaged.execution.salvage_passes == 1);
 
     worst_recovery_seconds = std::max(
         {worst_recovery_seconds, scratch_seconds, salvage_seconds});
@@ -141,7 +159,7 @@ int main(int argc, char** argv) {
     if (percent == 50) ratio_at_50 = ratio;
     series.push_back(
         {StrFormat("Recovery/replay_ratio/%u", percent), ratio});
-    std::printf("%-18s | %s | %s | %10llu | %10llu | %5.2fx | %5s\n",
+    std::printf("%-18s | %s | %s | %10llu | %10llu | %5.3fx | %5s\n",
                 StrFormat("crash @ %u%% (%llu)", percent,
                           (unsigned long long)crash_after)
                     .c_str(),
@@ -181,10 +199,10 @@ int main(int argc, char** argv) {
       "re-execution, and deadline bookkeeping is free when no fault fires");
   bench::Verdict(all_exact,
                  "recovered counts bit-identical to fault-free baseline at "
-                 "25/50/75% crash points, both recovery modes");
+                 "25/50/75% crash points, salvaged and from scratch");
   bench::Verdict(
       ratio_at_50 < 0.6,
-      StrFormat("salvage replays %.2fx the from-scratch re-execution units "
+      StrFormat("salvage replays %.3fx the from-scratch re-execution units "
                 "at the 50%% crash point (< 0.6x bound)",
                 ratio_at_50));
   bench::Verdict(

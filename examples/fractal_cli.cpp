@@ -50,7 +50,6 @@ void Usage() {
       "       [--profile-out <collapsed.txt>] [--profile-hz <rate>]\n"
       "       [--statusz-port <port>] [--progress-ms <interval>]\n"
       "       [--fault-spec <plan>] [--fault-seed <n>]\n"
-      "       [--retry-mode <scratch|salvage>]\n"
       "       [--concurrency <n>] [--deadline-ms <ms>]\n"
       "\n"
       "concurrent queries (DESIGN.md section 12):\n"
@@ -66,11 +65,10 @@ void Usage() {
       "    'drop:p=0.05' 'delay:p=0.1,us=5000' 'slow:w=1,us=20'\n"
       "    'crash-in-salvage:w=1,after=10' (fires during salvage replay)\n"
       "  --fault-seed seeds probabilistic decisions.\n"
-      "  --retry-mode picks how a crashed step is re-executed: 'scratch'\n"
-      "  (default; discard and re-run on the survivors, paper section 4) or\n"
-      "  'salvage' (lineage-ledger partial recovery, DESIGN.md section 11:\n"
-      "  keep the survivors' completed work and re-enumerate only the\n"
-      "  crashed worker's unfinished fractoid tasks).\n");
+      "  A crashed step is salvaged (DESIGN.md section 11): the survivors\n"
+      "  keep their completed work and re-enumerate only the crashed\n"
+      "  worker's unfinished fractoid tasks; what cannot be salvaged is\n"
+      "  re-run from scratch on the survivors (paper section 4).\n");
 }
 
 /// Resolves a --query name to its pattern; false on unknown names.
@@ -167,17 +165,6 @@ int main(int argc, char** argv) {
       concurrency = std::atoi(next("--concurrency"));
     } else if (!std::strcmp(argv[i], "--deadline-ms")) {
       deadline_ms = std::atoll(next("--deadline-ms"));
-    } else if (!std::strcmp(argv[i], "--retry-mode")) {
-      const std::string mode = next("--retry-mode");
-      if (mode == "salvage") {
-        config.retry.mode = RetryPolicy::Mode::kSalvage;
-      } else if (mode == "scratch") {
-        config.retry.mode = RetryPolicy::Mode::kFromScratch;
-      } else {
-        std::fprintf(stderr, "unknown --retry-mode '%s' (want scratch or "
-                             "salvage)\n", mode.c_str());
-        return 2;
-      }
     } else if (!std::strcmp(argv[i], "--help")) {
       Usage();
       return 0;

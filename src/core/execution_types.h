@@ -25,41 +25,23 @@ namespace fractal {
 
 class Cluster;
 
-/// How the executor responds to step failures (injected worker crashes).
-/// The from-scratch execution model (paper §4) makes recovery a pure
-/// re-execution: a failed step is discarded wholesale and re-run, so any
-/// successful attempt produces bit-identical results.
+/// How the executor recovers a step from a worker crash. The crashed
+/// worker is always marked dead. When exactly one worker died in the attempt
+/// and the pass budget allows, the step is salvaged (runtime/lineage.h): the
+/// survivors' committed results are kept and only the fractoid tasks the
+/// crashed worker left unfinished are re-enumerated on the survivors.
+/// Otherwise the attempt is discarded and the step re-run from scratch on
+/// the survivors (paper §4). Results stay bit-identical to a fault-free run
+/// either way.
 struct RetryPolicy {
-  /// What a retry re-executes after a worker crash.
-  enum class Mode : uint8_t {
-    /// Discard the failed step wholesale and re-run it (paper §4).
-    kFromScratch,
-    /// Partial recovery via the lineage ledger (runtime/lineage.h): keep
-    /// the survivors' committed results and re-enumerate only the fractoid
-    /// tasks the crashed worker left unfinished, partitioned across the
-    /// survivors as synthetic roots. Falls back to kFromScratch when the
-    /// crash is not salvageable (several workers died at once, or the
-    /// salvage-pass budget below ran out). Results stay bit-identical to a
-    /// fault-free run either way.
-    kSalvage,
-  };
   /// Total attempts per step (first try included). Must be >= 1. When the
   /// budget is exhausted the execution fails with a ResourceExhausted
   /// status in ExecutionResult::status instead of aborting. Salvage replay
   /// passes count as attempts.
   uint32_t max_attempts = 3;
-  /// Sleep between attempts (doubled per attempt). 0 retries immediately.
-  int64_t backoff_micros = 0;
-  /// Mark crashed workers dead on the cluster so re-execution runs
-  /// degraded on the surviving subset (instead of re-running on a worker
-  /// that would just crash again deterministically). Salvage always
-  /// excludes the crashed worker — its lost frontier is replayed on the
-  /// survivors by construction.
-  bool exclude_crashed_workers = true;
-  /// Recovery mode; see Mode.
-  Mode mode = Mode::kFromScratch;
   /// Cap on salvage replay passes per step (a crash during recovery starts
   /// another pass); past it the step falls back to a from-scratch retry.
+  /// 0 recovers every crash from scratch.
   uint32_t max_salvage_passes = 8;
 };
 
@@ -106,12 +88,10 @@ struct ExecutionConfig {
 
   /// Fault injection for resilience testing (runtime/fault.h): a seeded,
   /// deterministic schedule of worker crashes, steal-service deaths,
-  /// message drops/delays, and stragglers. The from-scratch execution
-  /// model makes recovery trivial: a failed step is simply re-executed
-  /// (the paper inherits this resilience from Spark's lineage; here the
-  /// executor retries directly, per `retry`). Empty plan = no faults.
+  /// message drops/delays, and stragglers. A crashed step is salvaged or
+  /// re-executed per `retry`. Empty plan = no faults.
   FaultPlan fault_plan;
-  /// Step re-execution policy after worker failures.
+  /// Step recovery policy after worker failures.
   RetryPolicy retry;
 
   uint32_t TotalThreads() const { return num_workers * threads_per_worker; }
@@ -182,13 +162,14 @@ struct ExecutionResult {
   /// what the attempt cost (runtime/telemetry.h).
   std::vector<StepFailure> failures;
   /// Work units whose results survived a crash via the lineage ledger and
-  /// were not re-executed (RetryPolicy::Mode::kSalvage only).
+  /// were not re-executed (salvage passes only).
   uint64_t units_salvaged = 0;
   /// Work units re-executed during salvage replay passes. With a mid-step
   /// crash this is far below the from-scratch re-execution cost (the
   /// recovery acceptance bound in tests/resilience_test.cc).
   uint64_t units_replayed = 0;
-  /// Salvage replay passes run across all steps (0 under kFromScratch).
+  /// Salvage replay passes run across all steps (0 when every crash was
+  /// recovered from scratch).
   uint32_t salvage_passes = 0;
 
   /// Typed view of the final aggregation registered under `name`.

@@ -1,11 +1,11 @@
 // Slim execution driver: compiles the workflow into fractal steps
 // (Algorithm 2), binds cached aggregation storages, submits one
 // FractoidStepTask per step to the runtime Cluster (ephemeral per
-// execution, or injected and shared via ExecutionConfig::cluster), retries
-// crashed steps per the RetryPolicy — from scratch, or under
-// RetryPolicy::Mode::kSalvage by replaying only the crashed worker's
-// unfinished fractoid tasks out of the lineage ledger while the survivors'
-// committed results are retained — and merges/publishes the results. All
+// execution, or injected and shared via ExecutionConfig::cluster), recovers
+// crashed steps per the RetryPolicy — salvaging them by replaying only the
+// crashed worker's unfinished fractoid tasks out of the lineage ledger while
+// the survivors' committed results are retained, and re-running them from
+// scratch when salvage cannot apply — and merges/publishes the results. All
 // thread lifecycle, partitioning, and work stealing live in
 // runtime/cluster.* / worker.*.
 #include "core/executor.h"
@@ -15,7 +15,6 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "core/fractoid_task.h"
@@ -23,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/cluster.h"
+#include "runtime/fault.h"
 #include "runtime/lineage.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -50,6 +50,17 @@ namespace {
 uint64_t FullMask(uint32_t num_workers) {
   return num_workers >= 64 ? ~uint64_t{0}
                            : (uint64_t{1} << num_workers) - 1;
+}
+
+/// Whether `plan` can crash a worker, the one failure a lineage ledger
+/// recovers: slow, drop, delay and steal-service entries never do.
+bool PlanCrashesWorkers(const FaultPlan& plan) {
+  return std::any_of(plan.specs().begin(), plan.specs().end(),
+                     [](const FaultSpec& spec) {
+                       return spec.kind == FaultKind::kCrashWorker ||
+                              spec.kind == FaultKind::kCrashWorkerRandom ||
+                              spec.kind == FaultKind::kCrashWorkerInSalvage;
+                     });
 }
 
 }  // namespace
@@ -165,6 +176,10 @@ ExecutionResult RunFractoid(const Fractoid& fractoid,
   if (!config.fault_plan.empty()) {
     injector = std::make_shared<FaultInjector>(config.fault_plan);
   }
+  // Crashes come only from the fault plan, so only a plan that can crash a
+  // worker gets a lineage ledger watermarking fractoid-task completion.
+  const bool track_lineage = config.retry.max_salvage_passes > 0 &&
+                             PlanCrashesWorkers(config.fault_plan);
 
   for (size_t step_index = 0; step_index < steps.size(); ++step_index) {
     if (query_aborted()) {
@@ -208,19 +223,14 @@ ExecutionResult RunFractoid(const Fractoid& fractoid,
         (!is_final || workflow.back().kind == Primitive::Kind::kAggregate);
     if (skip) continue;
 
-    // Execute the step; on (injected) worker failure, the from-scratch
-    // model lets us simply re-run it with a fresh task — degraded on the
-    // surviving workers when the policy excludes crashed ones. Under
-    // RetryPolicy::Mode::kSalvage a lineage ledger additionally watermarks
-    // fractoid-task completion, so a crash replays only the crashed
-    // worker's unfinished tasks (a salvage pass) on the survivors while
-    // everything already committed is retained. Failure is reported
-    // through result.status, never by aborting the process.
-    const bool salvage_mode =
-        config.retry.mode == RetryPolicy::Mode::kSalvage;
+    // Execute the step; on an (injected) worker crash the crashed worker is
+    // marked dead and the step recovered on the survivors. With a ledger, a
+    // single-worker crash replays just that worker's unfinished tasks (a
+    // salvage pass) while everything already committed is retained. What
+    // the ledger cannot salvage is re-run from scratch with a fresh task.
+    // Failure is reported through result.status, never by aborting the
+    // process.
     const uint64_t full_mask = FullMask(cluster->options().num_workers);
-    const uint32_t threads_per_worker =
-        cluster->options().threads_per_worker;
     std::vector<uint32_t> new_aggregate_indices;
     FractoidStepTask::Output output;
     Cluster::StepResult step_result;
@@ -259,10 +269,9 @@ ExecutionResult RunFractoid(const Fractoid& fractoid,
         strategy.ComputeExtensions(graph, Subgraph(), root_ctx, &roots);
         root_extension_tests = root_ctx.extension_tests;
 
-        if (salvage_mode) {
+        if (track_lineage) {
           ledger = std::make_unique<LineageLedger>();
-          ledger->BeginAttempt(roots, cluster->live_mask() & full_mask,
-                               threads_per_worker);
+          ledger->BeginAttempt(roots);
           last_salvaged_units = 0;
         }
       } else {
@@ -304,7 +313,9 @@ ExecutionResult RunFractoid(const Fractoid& fractoid,
       }
       ++result.steps_retried;
       FRACTAL_TRACE_INSTANT("executor/step_retry", step_index);
-      const int32_t crashed_worker = step_result.failure->worker;
+      // Every failure is a crash the injector attributed to a worker.
+      const auto crashed_worker =
+          static_cast<uint32_t>(step_result.failure->worker);
       result.failures.push_back(std::move(*step_result.failure));
       if (attempt == config.retry.max_attempts) {
         result.status = ResourceExhaustedError(StrFormat(
@@ -318,50 +329,40 @@ ExecutionResult RunFractoid(const Fractoid& fractoid,
       // exclusion reasoning the ledger does not model) and the pass budget
       // allows another replay.
       const bool salvageable =
-          salvage_mode && ledger != nullptr && crashed_worker >= 0 &&
-          injector != nullptr &&
+          ledger != nullptr &&
           std::popcount(injector->crashed_mask() & full_mask) == 1 &&
           salvage_passes_used < config.retry.max_salvage_passes;
-      if ((salvageable || config.retry.exclude_crashed_workers) &&
-          crashed_worker >= 0) {
-        if (cluster->num_live_workers() <= 1) {
-          result.status = FailedPreconditionError(StrFormat(
-              "step %u: last live worker crashed (%s); nothing left to "
-              "re-execute on",
-              static_cast<uint32_t>(step_index),
-              result.failures.back().ToString().c_str()));
-          break;
-        }
-        cluster->MarkWorkerDead(static_cast<uint32_t>(crashed_worker));
+      if (cluster->num_live_workers() <= 1) {
+        result.status = FailedPreconditionError(StrFormat(
+            "step %u: last live worker crashed (%s); nothing left to "
+            "re-execute on",
+            static_cast<uint32_t>(step_index),
+            result.failures.back().ToString().c_str()));
+        break;
       }
+      cluster->MarkWorkerDead(crashed_worker);
       if (salvageable) {
         // Partial recovery: keep everything committed, replay only what
-        // the crashed worker left unfinished. PrepareSalvage runs after
-        // MarkWorkerDead so the replay set is partitioned over the actual
-        // survivors.
+        // the crashed worker left unfinished. The replay set is assigned
+        // to the survivors when the pass is admitted (LineageLedger::
+        // AssignOwners), from the mask the pass actually runs on.
         FRACTAL_TRACE_INSTANT("executor/step_salvage", step_index);
         const uint64_t salvaged = ledger->completed_units();
         result.units_salvaged += salvaged - last_salvaged_units;
         obs::UnitsSalvagedCounter().Add(salvaged - last_salvaged_units);
         last_salvaged_units = salvaged;
-        replay_count = ledger->PrepareSalvage(
-            static_cast<uint32_t>(crashed_worker),
-            cluster->live_mask() & full_mask, threads_per_worker);
+        replay_count = ledger->PrepareSalvage(crashed_worker);
         obs::LedgerBytesGauge().Set(
             static_cast<int64_t>(ledger->ApproxBytes()));
         salvage_pass = true;
         ++salvage_passes_used;
         ++result.salvage_passes;
       } else {
-        // From-scratch retry (the only mode when salvage is off; the
-        // fallback when it cannot apply): discard the attempt wholesale.
+        // From-scratch retry, the fallback when salvage cannot apply:
+        // discard the attempt wholesale.
         salvage_pass = false;
         task.reset();
         ledger.reset();
-      }
-      if (config.retry.backoff_micros > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            config.retry.backoff_micros << (attempt - 1)));
       }
     }
     if (injector != nullptr) injector->SetSalvagePass(false);

@@ -11,6 +11,7 @@
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "runtime/lineage.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -329,6 +330,12 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   step_.num_levels = options.num_levels;
   step_.live_mask = live_mask;
   step_.lineage = options.lineage;
+  // The ledger partitions its tasks by this snapshot, not by the mask seen
+  // when it was built: another query may mark a worker dead while this one
+  // waits at the gate.
+  if (options.lineage != nullptr) {
+    options.lineage->AssignOwners(live_mask, options_.threads_per_worker);
+  }
   for (auto& worker : workers_) {
     for (uint32_t core = 0; core < worker->num_threads(); ++core) {
       ThreadContext& t = worker->thread(core);

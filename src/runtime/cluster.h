@@ -111,7 +111,9 @@ class Cluster {
     /// Lineage ledger recording steal claims and task completions for
     /// partial recovery (runtime/lineage.h); null disables lineage
     /// tracking (the from-scratch retry model). Owned by the executor and
-    /// valid across the whole step, including its barrier.
+    /// valid across the whole step, including its barrier. RunStep assigns
+    /// its tasks to workers from the step's live-mask snapshot
+    /// (LineageLedger::AssignOwners).
     LineageLedger* lineage = nullptr;
   };
 

@@ -9,29 +9,10 @@
 
 namespace fractal {
 
-void LineageLedger::BeginAttempt(const std::vector<uint32_t>& roots,
-                                 uint64_t live_mask,
-                                 uint32_t threads_per_worker) {
+void LineageLedger::BeginAttempt(const std::vector<uint32_t>& roots) {
   MutexLock lock(mu_);
   FRACTAL_CHECK(records_.empty())
       << "BeginAttempt must run once per LineageLedger";
-  const uint32_t live_threads =
-      static_cast<uint32_t>(std::popcount(live_mask)) * threads_per_worker;
-  FRACTAL_CHECK(live_threads > 0) << "no live threads to own the roots";
-
-  // Owner per root: walk each live thread's contiguous slice — the exact
-  // partition its Worker::RunStepOnThread computes (shared helpers above).
-  std::vector<uint32_t> owners(roots.size(), 0);
-  for (uint32_t worker = 0; worker < 64; ++worker) {
-    if (((live_mask >> worker) & 1) == 0) continue;
-    for (uint32_t core = 0; core < threads_per_worker; ++core) {
-      const uint32_t rank =
-          LiveThreadRank(live_mask, worker, core, threads_per_worker);
-      const RootSlice slice = PartitionRoots(roots.size(), rank, live_threads);
-      for (size_t i = slice.begin; i < slice.end; ++i) owners[i] = worker;
-    }
-  }
-
   SubgraphEnumerator::StolenWork work;
   for (size_t i = 0; i < roots.size(); ++i) {
     work.prefix.Clear();
@@ -42,7 +23,34 @@ void LineageLedger::BeginAttempt(const std::vector<uint32_t>& roots,
     ledger_bytes_.fetch_add(bytes.size() + sizeof(TaskRecord),
                             std::memory_order_relaxed);
     root_by_value_.emplace(roots[i], records_.size());
-    records_.emplace_back(owners[i], kNoVictim, std::move(bytes));
+    // Owned by nobody until AssignOwners runs at the step's admission.
+    records_.emplace_back(kNoVictim, kNoVictim, std::move(bytes));
+  }
+  num_roots_ = roots.size();
+}
+
+void LineageLedger::AssignOwners(uint64_t live_mask,
+                                 uint32_t threads_per_worker) {
+  MutexLock lock(mu_);
+  const uint32_t live_threads =
+      static_cast<uint32_t>(std::popcount(live_mask)) * threads_per_worker;
+  FRACTAL_CHECK(live_threads > 0) << "no live threads to own the roots";
+  // frames[0] entry i of the coming pass is root record i (BeginAttempt
+  // appends them first, in root order) or replay record replay_ids_[i].
+  const size_t count = salvage_pass_ ? replay_ids_.size() : num_roots_;
+  // Walk each live thread's contiguous slice: the exact partition its
+  // Worker::RunStepOnThread computes (shared helpers in lineage.h).
+  for (uint32_t worker = 0; worker < 64; ++worker) {
+    if (((live_mask >> worker) & 1) == 0) continue;
+    for (uint32_t core = 0; core < threads_per_worker; ++core) {
+      const uint32_t rank =
+          LiveThreadRank(live_mask, worker, core, threads_per_worker);
+      const RootSlice slice = PartitionRoots(count, rank, live_threads);
+      for (size_t i = slice.begin; i < slice.end; ++i) {
+        const uint64_t id = salvage_pass_ ? replay_ids_[i] : i;
+        records_[id].owner.store(worker, std::memory_order_relaxed);
+      }
+    }
   }
 }
 
@@ -102,9 +110,7 @@ uint64_t LineageLedger::num_records() const {
   return records_.size();
 }
 
-uint32_t LineageLedger::PrepareSalvage(uint32_t crashed_worker,
-                                       uint64_t new_live_mask,
-                                       uint32_t threads_per_worker) {
+uint32_t LineageLedger::PrepareSalvage(uint32_t crashed_worker) {
   MutexLock lock(mu_);
   crashed_workers_mask_ |= uint64_t{1} << crashed_worker;
 
@@ -167,8 +173,8 @@ uint32_t LineageLedger::PrepareSalvage(uint32_t crashed_worker,
   // (b) Replay set: descriptors the crashed worker owned and never
   // completed. Survivors drain their own roots and finish every task they
   // claim before a failed step winds down, so this is exactly the lost
-  // frontier. Records are reused in place; replay roots are re-owned by
-  // the survivor partition below.
+  // frontier. Records are reused in place; AssignOwners re-owns them at
+  // the replay pass's admission.
   replay_ids_.clear();
   replay_work_.clear();
   for (uint64_t id = 0; id < records_.size(); ++id) {
@@ -185,24 +191,6 @@ uint32_t LineageLedger::PrepareSalvage(uint32_t crashed_worker,
     replay_work_.push_back(std::move(work));
   }
 
-  // (c) Re-own the replay indices across the survivors with the same
-  // partition formula the next pass's threads will use on roots 0..R-1.
-  const uint32_t live_threads =
-      static_cast<uint32_t>(std::popcount(new_live_mask)) * threads_per_worker;
-  FRACTAL_CHECK(live_threads > 0) << "no survivors to salvage onto";
-  for (uint32_t worker = 0; worker < 64; ++worker) {
-    if (((new_live_mask >> worker) & 1) == 0) continue;
-    for (uint32_t core = 0; core < threads_per_worker; ++core) {
-      const uint32_t rank =
-          LiveThreadRank(new_live_mask, worker, core, threads_per_worker);
-      const RootSlice slice =
-          PartitionRoots(replay_ids_.size(), rank, live_threads);
-      for (size_t i = slice.begin; i < slice.end; ++i) {
-        records_[replay_ids_[i]].owner.store(worker,
-                                             std::memory_order_relaxed);
-      }
-    }
-  }
   salvage_pass_ = true;
   return static_cast<uint32_t>(replay_work_.size());
 }

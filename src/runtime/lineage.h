@@ -74,7 +74,9 @@ inline RootSlice PartitionRoots(size_t total, uint32_t rank,
 }
 
 /// Lineage ledger for one step of one execution attempt chain. Created by
-/// the executor when RetryPolicy::Mode::kSalvage is active, published to
+/// the executor when the execution's fault plan can crash a worker and it
+/// has a salvage-pass budget (RetryPolicy::max_salvage_passes > 0),
+/// published to
 /// worker threads through Cluster::StepState (same happens-before argument
 /// as the StepTask pointer: written before the step-generation bump, read
 /// after observing the new generation), and retained across salvage passes
@@ -95,10 +97,17 @@ class LineageLedger {
   LineageLedger& operator=(const LineageLedger&) = delete;
 
   /// Driver, once per ledger before the first RunStep: one record per root
-  /// extension, owner assigned by the same live-thread partition the
-  /// workers compute. `live_mask` must be the mask the step will run with.
-  void BeginAttempt(const std::vector<uint32_t>& roots, uint64_t live_mask,
-                    uint32_t threads_per_worker);
+  /// extension. Owners are left to AssignOwners.
+  void BeginAttempt(const std::vector<uint32_t>& roots);
+
+  /// Cluster::RunStep, after admission and before the workers wake: assigns
+  /// each frames[0] task of the coming pass (the roots of the initial
+  /// attempt, the replay set of a salvage pass) to the worker whose thread
+  /// drains it, by the same live-thread partition over the step's own
+  /// live-mask snapshot. Taking the mask there rather than when the ledger
+  /// is built keeps the owners right when another query on a shared cluster
+  /// marks a worker dead while this one waits at the admission gate.
+  void AssignOwners(uint64_t live_mask, uint32_t threads_per_worker);
 
   /// Steal path, after a successful TrySteal/ClaimLocalWork and before the
   /// descriptor crosses a worker boundary. Root claims (empty prefix at a
@@ -117,12 +126,11 @@ class LineageLedger {
   void StampComplete(uint64_t task_id, uint64_t units);
 
   /// Driver, between passes (workers quiescent): rebuilds the exclusion
-  /// set over all crashed-so-far workers, collects the crashed worker's
-  /// uncompleted descriptors as the replay set, and re-partitions their
-  /// ownership across the survivors in `new_live_mask`. Returns the replay
-  /// count R; the next pass runs with synthetic roots 0..R-1.
-  uint32_t PrepareSalvage(uint32_t crashed_worker, uint64_t new_live_mask,
-                          uint32_t threads_per_worker);
+  /// set over all crashed-so-far workers and collects the crashed worker's
+  /// uncompleted descriptors as the replay set, which AssignOwners re-owns
+  /// when the replay pass is admitted. Returns the replay count R; the next
+  /// pass runs with synthetic roots 0..R-1.
+  uint32_t PrepareSalvage(uint32_t crashed_worker);
 
   /// True when (prefix, extension, primitive_index) identifies a subtree
   /// that is already covered — committed by a survivor or queued as its own
@@ -260,6 +268,7 @@ class LineageLedger {
   // Attempt-frozen (rebuilt only between passes, driver thread): the
   // frames[0] key -> record id map, the replay set, and the exclusion set.
   std::unordered_map<uint32_t, uint64_t> root_by_value_;
+  size_t num_roots_ = 0;
   std::vector<uint64_t> replay_ids_;
   std::vector<SubgraphEnumerator::StolenWork> replay_work_;
   ExclusionSet exclusions_;

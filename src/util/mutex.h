@@ -129,17 +129,11 @@ class CondVar {
   /// wakeup — always re-check the predicate), and re-acquires `mu`.
   void Wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
 
-  /// Like Wait, but returns after at most `timeout_ms` milliseconds.
+  /// Like Wait, but returns after at most `timeout_us` microseconds.
   /// Returns true when woken by a notification (or spuriously — always
-  /// re-check the predicate), false on timeout.
-  bool WaitFor(Mutex& mu, int64_t timeout_ms) REQUIRES(mu) {
-    return cv_.wait_for(mu, std::chrono::milliseconds(timeout_ms)) ==
-           std::cv_status::no_timeout;
-  }
-
-  /// Microsecond-granularity WaitFor; used by the message bus for steal-RPC
-  /// deadlines (NetworkConfig::request_timeout_micros is far below 1 ms in
-  /// tests). Same contract as WaitFor.
+  /// re-check the predicate), false on timeout. Microsecond granularity
+  /// serves the message bus's steal-RPC deadlines
+  /// (NetworkConfig::request_timeout_micros is far below 1 ms in tests).
   bool WaitForMicros(Mutex& mu, int64_t timeout_us) REQUIRES(mu) {
     return cv_.wait_for(mu, std::chrono::microseconds(timeout_us)) ==
            std::cv_status::no_timeout;

@@ -415,7 +415,7 @@ TEST(ProgressTest, CondVarWaitForTimesOut) {
   Mutex mu("test.waitfor");
   CondVar cv;
   MutexLock lock(mu);
-  EXPECT_FALSE(cv.WaitFor(mu, /*timeout_ms=*/5));  // nobody notifies
+  EXPECT_FALSE(cv.WaitForMicros(mu, /*timeout_us=*/5000));  // nobody notifies
 }
 
 }  // namespace

@@ -450,7 +450,7 @@ TEST(AggregationChaosTest, PatternAggregationsMatchBruteForceUnderFaults) {
       config.network.retry_backoff_micros = 50;
       config.network.suspect_after_timeouts = 2;
       config.retry.max_attempts = 4;
-      if (salvage) config.retry.mode = RetryPolicy::Mode::kSalvage;
+      if (!salvage) config.retry.max_salvage_passes = 0;
       config.fault_plan = FaultPlan::Random(static_cast<uint64_t>(seed), 3);
       SCOPED_TRACE("seed " + std::to_string(seed) +
                    (salvage ? " salvage" : " from-scratch") + " plan '" +

@@ -313,9 +313,12 @@ TEST(RecoveryTest, DegradedReexecutionRunsOnSurvivors) {
   constexpr uint64_t kCrashAfter = 30;
   ASSERT_GE(worker2_units, kCrashAfter);
 
+  // A zero salvage-pass budget asks for from-scratch recovery: the whole
+  // step re-runs on the survivors.
   ExecutionConfig faulty;
   faulty.cluster = &cluster;
   faulty.fault_plan = FaultPlan().CrashWorker(2, kCrashAfter);
+  faulty.retry.max_salvage_passes = 0;
   const uint64_t degraded_before = obs::StepsDegradedCounter().Value();
   const ExecutionResult result = graph.VFractoid().Expand(3).Execute(faulty);
   ASSERT_TRUE(result.status.ok()) << result.status;
@@ -336,12 +339,17 @@ TEST(RecoveryTest, DegradedReexecutionRunsOnSurvivors) {
 TEST(RecoveryTest, ExhaustedRetriesReturnStatusNotAbort) {
   FractalContext fctx;
   FractalGraph graph = TestGraph(fctx);
-  ExecutionConfig config = TwoWorkers();
-  // p=1 random crash re-arms every attempt; keeping the crashed worker in
-  // rotation guarantees every attempt fails until the budget is exhausted.
-  config.fault_plan = FaultPlan(11).CrashWorkerRandomly(1, 1.0);
+  ExecutionConfig config;
+  config.num_workers = 3;
+  config.threads_per_worker = 2;
+  config.network.latency_micros = 1;
+  // p=1 random crashes re-arm every attempt. Workers 1 and 2 both die in
+  // the first attempt, which salvage cannot attribute, so the step re-runs
+  // from scratch without the reported worker; the other one crashes that
+  // attempt too and the budget is exhausted.
+  config.fault_plan =
+      FaultPlan(11).CrashWorkerRandomly(1, 1.0).CrashWorkerRandomly(2, 1.0);
   config.retry.max_attempts = 2;
-  config.retry.exclude_crashed_workers = false;
   const ExecutionResult result = graph.VFractoid().Expand(2).Execute(config);
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
@@ -398,10 +406,11 @@ TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
   ASSERT_GT(worker1_units, 20u);
   const uint64_t crash_after = worker1_units / 2;
 
-  // From-scratch recovery: the successful attempt re-enumerates the whole
-  // step on the survivor.
+  // From-scratch recovery (no salvage-pass budget): the successful attempt
+  // re-enumerates the whole step on the survivor.
   ExecutionConfig scratch = healthy;
   scratch.fault_plan = FaultPlan().CrashWorker(1, crash_after);
+  scratch.retry.max_salvage_passes = 0;
   const MotifsResult scratch_run = CountMotifs(graph, 3, scratch);
   ASSERT_TRUE(scratch_run.execution.status.ok())
       << scratch_run.execution.status;
@@ -413,11 +422,10 @@ TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
       scratch_run.execution.telemetry.steps[0].TotalWorkUnits();
   ExpectSameMotifs(scratch_run, clean);
 
-  // Salvage recovery: same crash, but only the tasks worker 1 left
-  // unfinished are re-enumerated on the survivor.
+  // Default recovery salvages: same crash, but only the tasks worker 1
+  // left unfinished are re-enumerated on the survivor.
   ExecutionConfig salvage = healthy;
   salvage.fault_plan = FaultPlan().CrashWorker(1, crash_after);
-  salvage.retry.mode = RetryPolicy::Mode::kSalvage;
   const MotifsResult salvaged = CountMotifs(graph, 3, salvage);
   ASSERT_TRUE(salvaged.execution.status.ok()) << salvaged.execution.status;
   EXPECT_EQ(salvaged.execution.steps_retried, 1u);
@@ -425,6 +433,10 @@ TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
   EXPECT_GT(salvaged.execution.units_salvaged, 0u);
   EXPECT_GT(salvaged.execution.units_replayed, 0u);
   EXPECT_LT(salvaged.execution.units_replayed, (scratch_units * 6) / 10);
+  // Worker 1 owns a small share of the step, so the bound above holds for
+  // any replay confined to worker 1. Crashed halfway, salvage must also
+  // replay less than worker 1's whole budget.
+  EXPECT_LT(salvaged.execution.units_replayed, worker1_units);
   ExpectSameMotifs(salvaged, clean);
 }
 
@@ -444,7 +456,6 @@ TEST(SalvageTest, SalvagedMotifsAndCliquesBitExact) {
     ExecutionConfig salvage = baseline;
     salvage.fault_plan = FaultPlan().CrashWorker(
         static_cast<int32_t>(seed % 3), 20 + seed * 15);
-    salvage.retry.mode = RetryPolicy::Mode::kSalvage;
     SCOPED_TRACE("seed " + std::to_string(seed) + " plan '" +
                  salvage.fault_plan.ToString() + "'");
 
@@ -495,7 +506,6 @@ TEST(SalvageTest, NestedCrashDuringSalvage) {
 
   ExecutionConfig faulty = fx.baseline;
   faulty.fault_plan = fx.plan;
-  faulty.retry.mode = RetryPolicy::Mode::kSalvage;
   faulty.retry.max_attempts = 4;
   const MotifsResult result = CountMotifs(graph, 3, faulty);
   ASSERT_TRUE(result.execution.status.ok()) << result.execution.status;
@@ -513,7 +523,6 @@ TEST(SalvageTest, FallsBackToScratchWhenPassBudgetExhausted) {
 
   ExecutionConfig faulty = fx.baseline;
   faulty.fault_plan = fx.plan;
-  faulty.retry.mode = RetryPolicy::Mode::kSalvage;
   faulty.retry.max_attempts = 4;
   faulty.retry.max_salvage_passes = 1;
   const MotifsResult result = CountMotifs(graph, 3, faulty);
@@ -525,7 +534,9 @@ TEST(SalvageTest, FallsBackToScratchWhenPassBudgetExhausted) {
 
 // --- Chaos sweep -----------------------------------------------------------
 
-// Seeded random fault plans must all converge to bit-identical results.
+// Seeded random fault plans must all converge to bit-identical results
+// under from-scratch recovery (no salvage-pass budget), the fallback that
+// SalvageChaosTest below only reaches when salvage cannot apply.
 // FRACTAL_CHAOS_SEEDS overrides the sweep width (ci.sh's chaos stage runs a
 // wider fixed matrix than the default).
 TEST(ChaosTest, RandomFaultPlansAreExact) {
@@ -553,6 +564,7 @@ TEST(ChaosTest, RandomFaultPlansAreExact) {
     chaotic.network.max_steal_retries = 2;
     chaotic.network.retry_backoff_micros = 50;
     chaotic.network.suspect_after_timeouts = 2;
+    chaotic.retry.max_salvage_passes = 0;
     chaotic.fault_plan =
         FaultPlan::Random(static_cast<uint64_t>(seed), 3);
     SCOPED_TRACE("seed " + std::to_string(seed) + " plan '" +
@@ -570,8 +582,8 @@ TEST(ChaosTest, RandomFaultPlansAreExact) {
   }
 }
 
-// The same sweep under salvage recovery: every random plan — including the
-// crash + crash-during-recovery composites Random() generates — must
+// The same sweep under the default recovery: every random plan — including
+// the crash + crash-during-recovery composites Random() generates — must
 // converge to bit-identical results when retries replay from the ledger
 // instead of re-running from scratch.
 TEST(SalvageChaosTest, RandomFaultPlansAreExact) {
@@ -597,7 +609,6 @@ TEST(SalvageChaosTest, RandomFaultPlansAreExact) {
     chaotic.network.max_steal_retries = 2;
     chaotic.network.retry_backoff_micros = 50;
     chaotic.network.suspect_after_timeouts = 2;
-    chaotic.retry.mode = RetryPolicy::Mode::kSalvage;
     chaotic.retry.max_attempts = 4;
     chaotic.fault_plan =
         FaultPlan::Random(static_cast<uint64_t>(seed), 3);

@@ -568,5 +568,111 @@ TEST(SchedulerChaosTest, WorkerCrashDuringConcurrentQueries) {
   }
 }
 
+// Two tenants crash different workers of one shared cluster: each one's
+// recovery runs while the other's deaths change the live mask, and every
+// query must stay bit-exact.
+TEST(SchedulerChaosTest, TwoCrashingTenantsShareOneCluster) {
+  const Graph g = GenerateRandomGraph(40, 140, 1, 1, 77);
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+
+  ExecutionConfig serial;
+  serial.num_workers = 1;
+  serial.threads_per_worker = 4;
+  const uint64_t expected =
+      MultiStepFractoid(graph, 2, 0).Execute(serial).num_subgraphs;
+
+  Cluster cluster(SharedClusterOptions(/*workers=*/4, /*threads=*/1));
+  for (int round = 0; round < 3; ++round) {
+    QueryScheduler scheduler(&cluster, {.max_active = 3});
+    std::vector<Fractoid> fractoids;
+    std::vector<QueryHandle> handles;
+    for (int i = 0; i < 3; ++i) {
+      fractoids.push_back(MultiStepFractoid(graph, 2, 50));
+    }
+    for (int i = 0; i < 3; ++i) {
+      ExecutionConfig config;
+      // Tenants 0 and 1 crash workers 1 and 2; tenant 2 is clean.
+      if (i < 2) config.fault_plan = FaultPlan(round + 1).CrashWorker(i + 1, 10);
+      auto handle = ExecuteFractoidAsync(fractoids[i], config, scheduler,
+                                         {.name = "tenant-" + std::to_string(i)});
+      ASSERT_TRUE(handle.ok()) << handle.status();
+      handles.push_back(*std::move(handle));
+    }
+    for (int i = 0; i < 3; ++i) {
+      const ExecutionResult& result = handles[i].Wait();
+      ASSERT_TRUE(result.status.ok())
+          << "round " << round << " query " << i << ": " << result.status;
+      EXPECT_EQ(result.num_subgraphs, expected)
+          << "round " << round << " query " << i;
+    }
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_GT(handles[i].Wait().steps_retried, 0u)
+          << "round " << round << " query " << i << ": fault plan never fired";
+    }
+    cluster.RestoreAllWorkers();
+  }
+}
+
+// A worker marked dead by another tenant while a query waits at the
+// admission gate: the query's step then runs on fewer workers than when its
+// lineage ledger was built. The ledger must own the roots by the mask the
+// step ran on, or the later salvage of a crash replays the wrong roots and
+// silently drops results.
+TEST(SchedulerChaosTest, WorkerLostWhileQueuedAtGateIsSalvagedExactly) {
+  const Graph g = GenerateRandomGraph(40, 140, 1, 1, 77);
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+
+  ExecutionConfig serial;
+  serial.num_workers = 1;
+  serial.threads_per_worker = 1;
+  const uint64_t expected =
+      graph.VFractoid().Expand(3).Execute(serial).num_subgraphs;
+
+  // One thread per worker and no stealing: each worker drains exactly its
+  // contiguous root slice, so the crash leaves a known frontier behind.
+  ClusterOptions options = SharedClusterOptions(/*workers=*/4, /*threads=*/1);
+  options.external_work_stealing = false;
+  options.internal_work_stealing = false;
+  Cluster cluster(options);
+  ExecutionConfig shared;
+  shared.cluster = &cluster;
+
+  // The holder occupies the step slot until released.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  const Fractoid holder = graph.VFractoid().Expand(1).Filter(
+      [&](const Subgraph&, Computation&) {
+        holding.store(true);
+        while (!release.load()) std::this_thread::sleep_for(milliseconds(1));
+        return true;
+      });
+  ExecutionResult holder_result;
+  std::thread holder_thread(
+      [&] { holder_result = ExecuteFractoid(holder, shared); });
+  while (!holding.load()) std::this_thread::sleep_for(milliseconds(1));
+
+  // The crashing query builds its ledger over all four workers and queues
+  // at the gate; meanwhile worker 2 is lost to another tenant.
+  ExecutionConfig crashing = shared;
+  crashing.fault_plan = FaultPlan().CrashWorker(1, 5);
+  const Fractoid query = graph.VFractoid().Expand(3);
+  ExecutionResult result;
+  std::thread query_thread(
+      [&] { result = ExecuteFractoid(query, crashing); });
+  std::this_thread::sleep_for(milliseconds(200));
+  cluster.MarkWorkerDead(2);
+  release.store(true);
+  holder_thread.join();
+  query_thread.join();
+
+  ASSERT_TRUE(holder_result.status.ok()) << holder_result.status;
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_EQ(result.steps_retried, 1u);
+  EXPECT_EQ(result.salvage_passes, 1u);
+  EXPECT_EQ(result.num_subgraphs, expected);
+}
+
 }  // namespace
 }  // namespace fractal

@@ -31,8 +31,9 @@ plus two repo-hygiene rules checked everywhere (not just on hot paths):
 
 Calls resolve to in-repo definitions by name, narrowed to the receiver's
 class (and its subclasses) where the text names it: a local, parameter or
-member declared in scope, `this`, a `C::` qualifier, or the implicit `this`
-of a member function (Repo.receiver_class).
+member declared in scope, `this`, a `C::` qualifier, the implicit `this`
+of a member function, or a call result whose callee declares the class as
+its return type (Repo.receiver_class).
 
 `FRACTAL_HOT_ESCAPE("reason")` marks the remainder of its enclosing block as
 an audited cold branch; `AllocGuard::Allow` scopes count the same way, and
@@ -499,6 +500,9 @@ def declared_type(text, name):
     return found
 
 
+# The (possibly qualified) name of the function a signature declares: the
+# first identifier followed by '('.
+FUNC_NAME_RE = re.compile(r"((?:[A-Za-z_]\w*\s*::\s*)*)(~?[A-Za-z_]\w*)\s*\(")
 HEADER_REJECT = re.compile(
     r"^\s*(?:if|for|while|switch|do|else|try|catch|namespace|class|struct|"
     r"enum|union|return|case|default|extern)\b")
@@ -568,7 +572,7 @@ def classify_header(header):
             if "operator" in header[:k]:
                 continue
             return None
-    m = re.search(r"((?:[A-Za-z_]\w*\s*::\s*)*)(~?[A-Za-z_]\w*)\s*\(", header)
+    m = FUNC_NAME_RE.search(header)
     if m is None:
         return None
     name = m.group(2)
@@ -721,9 +725,10 @@ class Repo:
         """Class of the object a call at `pos` runs on, when the text names
         it: a local, a parameter or a member declared in scope (`x.F()`,
         `x->F()`), a data member every declaring class gives one type
-        (`a.x.F()`), `this`, a class qualifier (`C::F()`), or the implicit
-        `this` of an unqualified call in a member function. None otherwise
-        (call results, auto, templates, ambiguous members)."""
+        (`a.x.F()`), `this`, a class qualifier (`C::F()`), the implicit
+        `this` of an unqualified call in a member function, or a call result
+        (`Fn().F()`) whose callee's definitions all return one class. None
+        otherwise (auto, templates, ambiguous members and return types)."""
         before = func.body[:pos].rstrip()
         if not is_member:
             if before.endswith("::"):
@@ -733,6 +738,8 @@ class Repo:
             return func.cls
         before = before[:-2] if before.endswith("->") else before[:-1]
         before = before.rstrip()
+        if before.endswith(")"):
+            return self.return_class(func.receiver_call_name(pos))
         m = re.search(r"([A-Za-z_]\w*)$", before)
         if m is None:
             return None
@@ -756,6 +763,22 @@ class Repo:
             declared_type(params + ",", ident)
         if type_name is None and func.cls is not None:
             type_name = self.member_type(func.cls, ident)
+        return type_name if type_name in self.class_bases else None
+
+    def return_class(self, name):
+        """Class every in-repo definition of function `name` declares as its
+        return type (by value, reference or pointer); None when `name` has
+        no definition, returns a non-class, or its definitions disagree."""
+        types = set()
+        for d in self.defs_by_name.get(name) or ():
+            m = FUNC_NAME_RE.search(d.header)
+            prefix = d.header[:m.start()] if m else ""
+            while re.search(r"<[^<>]*>", prefix):
+                prefix = re.sub(r"<[^<>]*>", "", prefix)
+            idents = [t for t in re.findall(r"[A-Za-z_]\w*", prefix)
+                      if t not in NON_TYPES]
+            types.add(idents[-1] if idents else None)
+        type_name = types.pop() if len(types) == 1 else None
         return type_name if type_name in self.class_bases else None
 
     def resolve_call(self, func, pos, name, is_member):
