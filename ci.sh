@@ -137,13 +137,24 @@ echo "=== perf smoke: extension kernels vs. reference scans ==="
 # pre-refactor reference scans (bench/bench_micro.cc, dense-graph pairs).
 # Results land in BENCH_extension.json for the CI artifact trail; the
 # differential property tests gate correctness, this stage tracks speed.
+# Nine short repetitions, interleaved across the six series, and
+# tools/bench_compare.py compares each series' fastest one: on a shared
+# host single shots of these sub-microsecond series moved by up to 89%
+# between consecutive runs, the fastest of nine by at most 14%.
 ./build-ci/bench/bench_micro \
   --benchmark_filter='Extensions(Kernel|Reference)' \
+  --benchmark_repetitions=9 --benchmark_enable_random_interleaving=true \
+  --benchmark_min_time=0.1 --benchmark_display_aggregates_only=true \
   --benchmark_out=BENCH_extension.json --benchmark_out_format=json
 test -s BENCH_extension.json
-# Gate against the committed baseline: >20% real_time regression on any
-# shared series fails (same host) or warns (baseline from another machine —
-# tools/bench_compare.py compares the benchmark context to decide).
+# Gate against the committed baseline, captured with this command on the
+# 4-core host CI runs on: >20% real_time regression on any shared series
+# fails (same host) or warns (baseline from another machine —
+# tools/bench_compare.py compares the benchmark context to decide). "Same
+# host" means equal host_name ("vm"), clock, CPU count and cache sizes: a
+# different VM of the same type matches all four and is gated hard against
+# this host's numbers, with the margin above (fastest of nine within 14%
+# here, threshold 20%).
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/bench_compare.py \
     bench/baselines/BENCH_extension.json BENCH_extension.json
@@ -215,11 +226,14 @@ awk '$2 == "runtime.units_salvaged" { found = 1; salvaged = $3 }
 # the deterministic work-unit model. The recovery runs keep WS_ext off, so
 # every crash fires and each ratio repeats run to run (about 0.004-0.011;
 # intra-worker stealing moves the 75% point by a few units). Worker 1 owns
-# about 1.4% of the step, so the ratios are bounded by that share; SalvageTest
-# in the stage above also bounds the replay by worker 1's own budget. The committed
-# baseline is a *budget*, not a measured snapshot: 0.375 per series so the
-# 0.6 relative threshold gates at exactly 0.375 * 1.6 = 0.6 — the salvage
-# acceptance bound from tests/resilience_test.cc.
+# about 1.4% of the step, so those ratios are bounded by that share; the
+# Recovery/budget_ratio/<pct> series divide the same replay by worker 1's own
+# fault-free budget (about 0.27-0.78), which measures the salvage itself.
+# The committed baseline is a *budget*, not a measured snapshot: 0.375 per
+# replay_ratio series so the 0.6 relative threshold gates at exactly
+# 0.375 * 1.6 = 0.6 — the salvage acceptance bound from
+# tests/resilience_test.cc — and 0.625 per budget_ratio series, gating at
+# 1.0: a salvage that replays worker 1's whole budget fails.
 ./build-ci/bench/bench_resilience --recovery-out BENCH_recovery.json
 test -s BENCH_recovery.json
 if command -v python3 >/dev/null 2>&1; then

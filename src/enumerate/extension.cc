@@ -363,13 +363,14 @@ FRACTAL_HOT void PatternInducedStrategy::Apply(const Graph& graph,
                                                Subgraph* subgraph) const {
   const uint32_t step = subgraph->NumVertices();
   if (step == 0) {
-    subgraph->PushVertexWithEdges(extension, {});
+    subgraph->PushVertexWithEdges(extension, {}, {});
     return;
   }
   // Collect the pattern-required incident edges on the stack: their count is
   // bounded by the pattern size, and a heap vector here used to be a per-push
   // allocation on the hottest pattern-matching path.
   EdgeId edges[kMaxPatternApplyEdges];
+  uint32_t positions[kMaxPatternApplyEdges];
   const auto& required = required_neighbors_[step];
   FRACTAL_CHECK(required.size() <= kMaxPatternApplyEdges)
       << "pattern step requires more edges than the Apply stack buffer";
@@ -378,10 +379,12 @@ FRACTAL_HOT void PatternInducedStrategy::Apply(const Graph& graph,
   for (const RequiredNeighbor& req : required) {
     const auto edge = graph.EdgeBetween(matched[req.step], extension);
     FRACTAL_DCHECK(edge.has_value());
+    positions[count] = req.step;
     edges[count++] = *edge;
   }
   subgraph->PushVertexWithEdges(extension,
-                                std::span<const EdgeId>(edges, count));
+                                std::span<const EdgeId>(edges, count),
+                                std::span<const uint32_t>(positions, count));
 }
 
 // Clique extension as a chain of sorted intersections: start from the

@@ -8,6 +8,13 @@
 // in the word. The bitsets grow lazily to the highest id ever inserted (not
 // |V|), and copy construction/assignment touch only the O(k) set bits, so
 // prefix snapshots taken by the enumerator and the steal path stay O(k).
+//
+// Position-pair invariant (DESIGN.md §8): edge_pairs_ mirrors the edge word —
+// edge_pairs_[k] is QuickPatternKey::PairIndex of the word positions of
+// edges_[k]'s endpoints, recorded by the push that added the edge, or kNoPair
+// when that push left the subgraph with more than
+// QuickPatternKey::kMaxVertices vertices (no key is built for such a
+// subgraph, and popping back below the capacity pops those edges first).
 #ifndef FRACTAL_ENUMERATE_SUBGRAPH_H_
 #define FRACTAL_ENUMERATE_SUBGRAPH_H_
 
@@ -57,17 +64,38 @@ class Subgraph {
   bool ContainsEdge(EdgeId e) const { return TestBit(edge_bits_, e); }
 
   /// Vertex-induced push: appends v plus every edge connecting v to the
-  /// current vertices (Fig. 1, vertex-induced extension). Hot-path root.
+  /// current vertices, in vertex-word order (Fig. 1, vertex-induced
+  /// extension). Finds them by one scan of v's adjacency against the
+  /// membership bitset when that is cheaper than one EdgeBetween search per
+  /// current vertex (ScanBeatsSearch), by the searches otherwise. Hot-path
+  /// root.
   FRACTAL_HOT void PushVertexInduced(const Graph& graph, VertexId v);
 
   /// Edge-induced push: appends edge e plus its endpoints that are not yet
   /// in the subgraph (Fig. 1, edge-induced extension). Hot-path root.
   FRACTAL_HOT void PushEdgeInduced(const Graph& graph, EdgeId e);
 
+  /// Scan-or-search rule of PushVertexInduced, from degrees alone: a scan
+  /// tests each of v's `degree` neighbors against the bitset once; a search
+  /// is one EdgeBetween per current vertex. Timing both branches over
+  /// degrees 8 to 1024 and 1 to 7 current vertices puts their crossover
+  /// between 8 and 32 neighbors per current vertex; in the degree buckets
+  /// that straddle 12 per current vertex the two differ by at most 25%
+  /// (EXPERIMENTS.md, "The scan-or-search threshold"). Subgraphs past the
+  /// key's capacity record no positions, so they keep the search (which
+  /// yields word order directly).
+  static bool ScanBeatsSearch(uint32_t degree, uint32_t num_vertices) {
+    return num_vertices < QuickPatternKey::kMaxVertices &&
+           degree <= 12 * num_vertices;
+  }
+
   /// Pattern-induced push: appends v plus exactly the given incident edges
-  /// (the ones the reference pattern requires). Hot-path root.
+  /// (the ones the reference pattern requires); positions[k] is the word
+  /// position of edges[k]'s other endpoint, which the caller already knows.
+  /// Hot-path root.
   FRACTAL_HOT void PushVertexWithEdges(VertexId v,
-                                       std::span<const EdgeId> edges);
+                                       std::span<const EdgeId> edges,
+                                       std::span<const uint32_t> positions);
 
   /// Undoes the most recent push (any kind). Hot-path root.
   FRACTAL_HOT void Pop();
@@ -77,8 +105,9 @@ class Subgraph {
 
   /// The packed quick pattern (pattern/quick_key.h): this subgraph's
   /// labeled pattern over positions in addition order, built without
-  /// allocating — the per-subgraph key of pattern aggregation. The subgraph
-  /// must fit the key (at most QuickPatternKey::kMaxVertices vertices).
+  /// allocating from the position pairs the pushes recorded — the
+  /// per-subgraph key of pattern aggregation. The subgraph must fit the key
+  /// (at most QuickPatternKey::kMaxVertices vertices).
   FRACTAL_HOT QuickPatternKey QuickKey(const Graph& graph) const;
 
   /// QuickKey(graph).ToPattern(): the heap form of the quick pattern, for
@@ -101,6 +130,35 @@ class Subgraph {
     uint8_t edges_added = 0;
   };
 
+  /// edge_pairs_ entry of an edge pushed past the key's vertex capacity.
+  static constexpr uint8_t kNoPair = 0xFF;
+
+  /// The pair recorded for an edge from position i to the vertex a push
+  /// places at position n: kNoPair once that push leaves the key's
+  /// capacity.
+  static uint8_t PairToNew(uint32_t i, uint32_t n) {
+    return n < QuickPatternKey::kMaxVertices
+               ? static_cast<uint8_t>(QuickPatternKey::PairIndex(i, n))
+               : kNoPair;
+  }
+
+  /// Word position of a member vertex (linear in the word; the callers only
+  /// ask while the word fits the key, so at most kMaxVertices entries).
+  uint32_t PositionOf(VertexId v) const {
+    uint32_t i = 0;
+    while (vertices_[i] != v) ++i;
+    return i;
+  }
+
+  /// Appends e with its recorded position pair (space reserved by
+  /// ReserveForPush).
+  FRACTAL_HOT void AppendEdge(EdgeId e, uint8_t pair) {
+    FRACTAL_DCHECK(!ContainsEdge(e));
+    edges_.push_back(e);
+    edge_pairs_.push_back(pair);
+    SetBit(edge_bits_, e);
+  }
+
   static bool TestBit(const std::vector<uint64_t>& bits, uint32_t id) {
     const size_t word = id >> 6;
     return word < bits.size() && ((bits[word] >> (id & 63)) & 1) != 0;
@@ -122,8 +180,16 @@ class Subgraph {
   }
 
   /// Recomputes both bitsets from the words (used after codec decode and by
-  /// the copy operations).
-  void RebuildBits();
+  /// the copy operations). Returns false if a word repeats an id.
+  bool RebuildBits();
+
+  /// Whether the push records account for every word element and
+  /// edge_pairs_ is what those pushes could have recorded: each pair names
+  /// positions already in the word, touches the vertices its push added,
+  /// and appears once; kNoPair exactly past the key's capacity. The codec's
+  /// check on a decoded descriptor (the graph is not at hand there, so an
+  /// edge's true endpoints are not compared).
+  bool RecordsMatchWords() const;
 
   /// Secures headroom for one push (<= 2 vertices, 1 record, max_new_edges
   /// edges) so the appends in the Push* bodies never reallocate; amortized
@@ -136,6 +202,8 @@ class Subgraph {
   // the zero-steady-state-allocation design — hence FRACTAL_ARENA_OUT.
   FRACTAL_ARENA_OUT std::vector<VertexId> vertices_;
   FRACTAL_ARENA_OUT std::vector<EdgeId> edges_;
+  // Parallel to edges_; see the position-pair invariant above.
+  FRACTAL_ARENA_OUT std::vector<uint8_t> edge_pairs_;
   FRACTAL_ARENA_OUT std::vector<PushRecord> records_;
   // One bit per id present in the corresponding word; see class comment.
   FRACTAL_ARENA_OUT std::vector<uint64_t> vertex_bits_;

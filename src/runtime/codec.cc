@@ -8,6 +8,7 @@ void SubgraphCodec::EncodeSubgraph(const Subgraph& subgraph,
   for (const VertexId v : subgraph.vertices_) writer->PutU32(v);
   writer->PutU32(static_cast<uint32_t>(subgraph.edges_.size()));
   for (const EdgeId e : subgraph.edges_) writer->PutU32(e);
+  for (const uint8_t pair : subgraph.edge_pairs_) writer->PutU8(pair);
   writer->PutU32(static_cast<uint32_t>(subgraph.records_.size()));
   for (const Subgraph::PushRecord& record : subgraph.records_) {
     writer->PutU8(record.vertices_added);
@@ -29,22 +30,24 @@ bool SubgraphCodec::DecodeSubgraph(ByteReader* reader, Subgraph* subgraph) {
   for (uint32_t i = 0; i < num_edges; ++i) {
     subgraph->edges_[i] = reader->GetU32();
   }
+  subgraph->edge_pairs_.resize(num_edges);
+  for (uint32_t i = 0; i < num_edges; ++i) {
+    subgraph->edge_pairs_[i] = reader->GetU8();
+  }
   const uint32_t num_records = reader->GetU32();
   if (!reader->ok() || num_records > 1u << 20) return false;
   subgraph->records_.resize(num_records);
-  uint32_t vertex_total = 0;
-  uint32_t edge_total = 0;
   for (uint32_t i = 0; i < num_records; ++i) {
     subgraph->records_[i].vertices_added = reader->GetU8();
     subgraph->records_[i].edges_added = reader->GetU8();
-    vertex_total += subgraph->records_[i].vertices_added;
-    edge_total += subgraph->records_[i].edges_added;
   }
   if (!reader->ok()) return false;
-  // The words were written behind the bitsets' back; restore the invariant.
-  subgraph->RebuildBits();
-  // Structural consistency: records must account for every word element.
-  return vertex_total == num_vertices && edge_total == num_edges;
+  // The words were written behind the bitsets' back; restore the invariant
+  // (a repeated id could not have been pushed). Then the records must
+  // account for every word element and the recorded position pairs must be
+  // ones those pushes could have made, so a bad pair never reaches
+  // QuickKey.
+  return subgraph->RebuildBits() && subgraph->RecordsMatchWords();
 }
 
 std::vector<uint8_t> SubgraphCodec::EncodeStolenWork(

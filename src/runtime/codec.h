@@ -64,7 +64,10 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// Encodes/decodes Subgraph and StolenWork values.
+/// Encodes/decodes Subgraph and StolenWork values. A subgraph ships its
+/// vertex and edge words, one recorded position-pair byte per edge
+/// (subgraph.h) and its push records; decode rejects a descriptor whose
+/// records or pairs disagree with its words.
 class SubgraphCodec {
  public:
   static void EncodeSubgraph(const Subgraph& subgraph, ByteWriter* writer);

@@ -21,6 +21,7 @@
 #include "pattern/canonical.h"
 #include "pattern/dfs_code.h"
 #include "pattern/quick_key.h"
+#include "runtime/codec.h"
 #include "runtime/fault.h"
 #include "tests/brute_force.h"
 #include "tests/reference_extension.h"
@@ -326,6 +327,140 @@ TEST_P(SeededProperty, KernelExtensionsMatchReferenceWithHub) {
   DifferentialSweep(g, VertexInducedStrategy{},
                     ReferenceVertexInducedStrategy{}, 2);
   DifferentialSweep(g, KClistStrategy{}, ReferenceKClistStrategy{}, 3);
+}
+
+/// The quick pattern built from scratch: positions from Endpoints and a scan
+/// of the vertex word, independently of the pairs the pushes recorded.
+QuickPatternKey KeyFromEndpoints(const Graph& g, const Subgraph& s) {
+  const auto word = s.Vertices();
+  const auto position = [&word](VertexId v) {
+    return static_cast<uint32_t>(std::find(word.begin(), word.end(), v) -
+                                 word.begin());
+  };
+  Pattern pattern;
+  for (const VertexId v : word) pattern.AddVertex(g.VertexLabel(v));
+  for (const EdgeId e : s.Edges()) {
+    const EdgeEndpoints& ends = g.Endpoints(e);
+    pattern.AddEdge(position(ends.src), position(ends.dst), g.GetEdgeLabel(e));
+  }
+  return QuickPatternKey::FromPattern(pattern);
+}
+
+struct KeyWalkCoverage {
+  uint64_t scan_pushes = 0;          // vertex-induced, scan branch
+  uint64_t keyed_search_pushes = 0;  // search branch inside the key
+  uint64_t snapshots = 0;            // copies and codec round trips
+  uint32_t max_vertices = 0;
+};
+
+/// A seeded random walk of all three push kinds and pops, growing up to
+/// `cap` vertices (past QuickPatternKey::kMaxVertices) and back, that
+/// continues on copy-constructed, copy-assigned and codec-decoded
+/// snapshots. After every operation the incremental QuickKey must equal
+/// the key rebuilt from Endpoints, and a vertex-induced push must append
+/// exactly the EdgeBetween hits in vertex-word order.
+void IncrementalKeyWalk(const Graph& g, uint64_t seed, uint32_t cap,
+                        KeyWalkCoverage* coverage) {
+  SplitMix64 rng(seed);
+  // Vertex 0 (the hub of RandomGraphWithHub) is drawn often, so it is also
+  // pushed while the word is short.
+  const auto random_new_vertex = [&](const Subgraph& s) -> VertexId {
+    if (!s.ContainsVertex(0) && rng.NextBounded(4) == 0) return 0;
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      const auto v = static_cast<VertexId>(rng.NextBounded(g.NumVertices()));
+      if (!s.ContainsVertex(v)) return v;
+    }
+    return kInvalidVertex;
+  };
+  // A dirty target, so snapshots also overwrite existing state.
+  const auto dirty = [&] {
+    Subgraph target;
+    target.PushVertexInduced(g, static_cast<VertexId>(g.NumVertices() - 1));
+    return target;
+  };
+  Subgraph s;
+  for (int op = 0; op < 4000; ++op) {
+    const uint64_t roll = rng.NextBounded(20);
+    const uint32_t n = s.NumVertices();
+    if (s.Depth() > 0 && (roll < 6 || n + 2 > cap)) {
+      s.Pop();
+    } else if (roll < 11) {
+      const VertexId v = random_new_vertex(s);
+      if (v == kInvalidVertex) continue;
+      if (Subgraph::ScanBeatsSearch(g.Degree(v), n)) {
+        ++coverage->scan_pushes;
+      } else if (n > 0 && n < QuickPatternKey::kMaxVertices) {
+        ++coverage->keyed_search_pushes;
+      }
+      std::vector<EdgeId> expected(s.Edges().begin(), s.Edges().end());
+      for (const VertexId u : s.Vertices()) {
+        if (const auto e = g.EdgeBetween(u, v)) expected.push_back(*e);
+      }
+      s.PushVertexInduced(g, v);
+      ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                             s.Edges().begin(), s.Edges().end()))
+          << "edge word left vertex-word order: " << s.ToString();
+    } else if (roll < 14) {
+      const auto e = static_cast<EdgeId>(rng.NextBounded(g.NumEdges()));
+      if (s.ContainsEdge(e)) continue;
+      s.PushEdgeInduced(g, e);
+    } else if (roll < 17) {
+      const VertexId v = random_new_vertex(s);
+      if (v == kInvalidVertex) continue;
+      // A random subset of v's edges into the word, listed from the last
+      // position down (a pattern step lists them in plan order, not word
+      // order).
+      std::vector<EdgeId> edges;
+      std::vector<uint32_t> positions;
+      for (uint32_t i = n; i-- > 0;) {
+        const auto e = g.EdgeBetween(s.VertexAt(i), v);
+        if (e && rng.NextBounded(2) == 0) {
+          edges.push_back(*e);
+          positions.push_back(i);
+        }
+      }
+      s.PushVertexWithEdges(v, edges, positions);
+    } else {
+      ++coverage->snapshots;
+      if (roll == 17) {
+        Subgraph copy(s);
+        s = std::move(copy);
+      } else if (roll == 18) {
+        Subgraph target = dirty();
+        target = s;
+        s = std::move(target);
+      } else {
+        ByteWriter writer;
+        SubgraphCodec::EncodeSubgraph(s, &writer);
+        ByteReader reader(writer.bytes());
+        Subgraph decoded = dirty();
+        ASSERT_TRUE(SubgraphCodec::DecodeSubgraph(&reader, &decoded));
+        ASSERT_EQ(decoded, s);
+        s = std::move(decoded);
+      }
+    }
+    coverage->max_vertices = std::max(coverage->max_vertices, s.NumVertices());
+    if (s.NumVertices() <= QuickPatternKey::kMaxVertices) {
+      ASSERT_TRUE(s.QuickKey(g) == KeyFromEndpoints(g, s))
+          << "op " << op << ": " << s.ToString() << " keys as "
+          << s.QuickPattern(g).ToString() << ", from endpoints "
+          << KeyFromEndpoints(g, s).ToPattern().ToString();
+    }
+  }
+}
+
+TEST_P(SeededProperty, IncrementalQuickKeyMatchesKeyFromEndpoints) {
+  // A sparse random graph takes the scan branch; the hub graph's vertex 0
+  // (degree 79) forces the search branch while the word is short.
+  KeyWalkCoverage coverage;
+  IncrementalKeyWalk(GenerateRandomGraph(40, 160, 3, 3, GetParam()),
+                     GetParam(), QuickPatternKey::kMaxVertices + 3, &coverage);
+  IncrementalKeyWalk(RandomGraphWithHub(160, GetParam()), GetParam() + 1,
+                     QuickPatternKey::kMaxVertices + 3, &coverage);
+  EXPECT_GT(coverage.scan_pushes, 0u);
+  EXPECT_GT(coverage.keyed_search_pushes, 0u);
+  EXPECT_GT(coverage.snapshots, 0u);
+  EXPECT_GT(coverage.max_vertices, QuickPatternKey::kMaxVertices);
 }
 
 TEST_P(SeededProperty, KernelExtensionsMatchReferenceUnderReduction) {

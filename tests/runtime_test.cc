@@ -6,6 +6,7 @@
 #include "core/context.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
+#include "pattern/quick_key.h"
 #include "runtime/cluster.h"
 #include "runtime/codec.h"
 #include "runtime/message_bus.h"
@@ -86,6 +87,78 @@ TEST(CodecTest, RejectsCorruptedPayloads) {
   std::vector<uint8_t> inconsistent = bytes;
   inconsistent[0] = 2;
   EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(inconsistent, &decoded));
+}
+
+// Descriptor layout: u32 |V|, |V| u32 vertex ids, u32 |E|, |E| u32 edge ids,
+// |E| recorded position-pair bytes, u32 record count, 2 bytes per record.
+size_t PairByteOffset(const Subgraph& s, uint32_t edge) {
+  return 4 + 4 * s.NumVertices() + 4 + 4 * s.NumEdges() + edge;
+}
+
+TEST(CodecTest, RejectsPositionPairsThatDisagreeWithTheWords) {
+  const Graph g = testgraphs::Complete(4);
+  SubgraphEnumerator::StolenWork work;
+  // Edge word: (0,1) pushed with vertex 1, then (0,2) and (1,2) with
+  // vertex 2 — recorded pairs 0, 1 and 2.
+  for (const VertexId v : {0u, 1u, 2u}) work.prefix.PushVertexInduced(g, v);
+  work.extension = 3;
+  const std::vector<uint8_t> bytes = SubgraphCodec::EncodeStolenWork(work);
+  SubgraphEnumerator::StolenWork decoded;
+  ASSERT_TRUE(SubgraphCodec::DecodeStolenWork(bytes, &decoded));
+  EXPECT_TRUE(decoded.prefix.QuickKey(g) == work.prefix.QuickKey(g));
+
+  const auto with_pair = [&](uint32_t edge, uint8_t pair) {
+    std::vector<uint8_t> mutated = bytes;
+    mutated[PairByteOffset(work.prefix, edge)] = pair;
+    return mutated;
+  };
+  // Truncated inside the pair bytes.
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(
+      std::vector<uint8_t>(bytes.begin(),
+                           bytes.begin() + PairByteOffset(work.prefix, 1)),
+      &decoded));
+  // A pair index past every position pair of the key (it must never reach
+  // QuickKey's 1u << pair), and the past-capacity marker inside capacity.
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(with_pair(2, 200), &decoded));
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(with_pair(2, 0xFF), &decoded));
+  // The first edge names position 2 before vertex 2 was pushed.
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(with_pair(0, 1), &decoded));
+  // Vertex 2's push records an edge that does not touch vertex 2.
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(with_pair(1, 0), &decoded));
+  // Two edges on one position pair.
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(with_pair(2, 1), &decoded));
+  // A repeated vertex id.
+  std::vector<uint8_t> repeated = bytes;
+  repeated[4 + 4] = repeated[4];  // vertex 1 := vertex 0
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(repeated, &decoded));
+  // Records that claim two edges for vertex 1's push and one for vertex 2's.
+  std::vector<uint8_t> shifted = bytes;
+  const size_t records = PairByteOffset(work.prefix, 3) + 4;
+  shifted[records + 3] = 2;
+  shifted[records + 5] = 1;
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(shifted, &decoded));
+}
+
+TEST(CodecTest, PairsPastTheKeyCapacityRoundTrip) {
+  const uint32_t n = QuickPatternKey::kMaxVertices + 2;
+  const Graph g = testgraphs::Complete(n);
+  SubgraphEnumerator::StolenWork work;
+  for (VertexId v = 0; v < n; ++v) work.prefix.PushVertexInduced(g, v);
+  const std::vector<uint8_t> bytes = SubgraphCodec::EncodeStolenWork(work);
+  SubgraphEnumerator::StolenWork decoded;
+  ASSERT_TRUE(SubgraphCodec::DecodeStolenWork(bytes, &decoded));
+  // Popping back inside the capacity leaves only recorded pairs.
+  decoded.prefix.Pop();
+  decoded.prefix.Pop();
+  Subgraph expected;
+  for (VertexId v = 0; v + 2 < n; ++v) expected.PushVertexInduced(g, v);
+  EXPECT_TRUE(decoded.prefix.QuickKey(g) == expected.QuickKey(g));
+
+  // The last edge was pushed with the tenth vertex: it carries no pair, and
+  // a descriptor that claims one is rejected.
+  std::vector<uint8_t> claimed = bytes;
+  claimed[PairByteOffset(work.prefix, work.prefix.NumEdges() - 1)] = 0;
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(claimed, &decoded));
 }
 
 TEST(MessageBusTest, RequestReplyRoundTrip) {

@@ -2,13 +2,18 @@
 """CI perf gate: diff two google-benchmark JSON files and fail on regression.
 
 Compares per-benchmark real_time of `current` against `baseline`, series
-matched by name. When a run carries aggregate entries (repetitions), only
-the `_mean` aggregates are compared; otherwise the raw entries are. Exits
-nonzero when any shared series regressed by more than --threshold (default
-0.20 = 20% slower). Baselines are host-bound: when the two files disagree
-on host_name or per-core clock, the diff is printed but regressions only
-warn (a committed baseline from another machine must not fail CI) unless
---strict forces the gate.
+matched by name. Google-benchmark writes a per-repetition entry for every
+iteration run, so each of its series is its fastest repetition: load from
+other processes on the host only adds time, so the minimum holds still
+where single shots and means move by tens of percent. Any other file (the
+hand-written JSON of bench_resilience) is compared by its raw entries.
+Exits nonzero when any shared series regressed by more than --threshold
+(default 0.20 = 20% slower). Baselines are host-bound: when the two files
+disagree on host_name, per-core clock, CPU count or cache sizes, the diff
+is printed but regressions only warn (a committed baseline from another
+machine must not fail CI) unless --strict forces the gate. Another VM of
+the same type reports the same context and is gated like the host that
+wrote the baseline.
 
 Usage: bench_compare.py <baseline.json> <current.json>
            [--threshold 0.20] [--strict]
@@ -22,20 +27,22 @@ def load_series(path):
     with open(path) as f:
         data = json.load(f)
     entries = data.get("benchmarks", [])
-    # Aggregate runs name entries "<bench>_mean"; strip the suffix so a
-    # repetitions=N baseline still matches a single-shot current run.
-    means = {
-        e.get("run_name", e["name"]): e
-        for e in entries if e.get("aggregate_name") == "mean"}
-    if means:
-        return data.get("context", {}), means
-    raw = {
-        e["name"]: e for e in entries if "aggregate_name" not in e}
-    return data.get("context", {}), raw
+    # Google-benchmark iteration entries carry a repetition_index, keyed by
+    # run_name; keep the fastest repetition of each series.
+    fastest = {}
+    for e in entries:
+        if e.get("run_type") == "iteration" and "repetition_index" in e:
+            name = e.get("run_name", e["name"])
+            best = fastest.get(name)
+            if best is None or e["real_time"] < best["real_time"]:
+                fastest[name] = e
+    if fastest:
+        return data.get("context", {}), fastest
+    return data.get("context", {}), {e["name"]: e for e in entries}
 
 
 def comparable_context(a, b):
-    keys = ("host_name", "mhz_per_cpu", "num_cpus")
+    keys = ("host_name", "mhz_per_cpu", "num_cpus", "caches")
     return all(a.get(k) == b.get(k) for k in keys)
 
 
